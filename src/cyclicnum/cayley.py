@@ -4,19 +4,25 @@ This is the independent cross-check for the rest of the package: it never
 touches permutations or number theory while searching.  Tables are n x n
 grids over {0..n-1} with 0 as the identity; the search fixes row 0 and
 column 0, keeps rows and columns Latin with bitmasks, and rejects an
-entry as soon as it completes any non-associative triple.  Completed
-tables are deduplicated up to relabeling by a canonical form (the
-lexicographically least identity-fixing relabeling).
+entry as soon as it completes any non-associative triple.
 
-Orders up to 8 finish quickly; the cap exists because the relabeling
-space grows factorially.
+Tables are deduplicated up to relabeling by a canonical form, the
+lexicographically least identity-fixing relabeling.  It is found by
+branch and bound rather than by trying all (n-1)! relabelings: labels
+are handed out in order of first appearance while the table is read row
+by row, so row 1 names every element and only the choices of new header
+elements branch.  The same first-appearance rule bounds row 1 of every
+canonical table, and the search only builds tables that satisfy it
+(71 of the 2760 identity-fixed tables at order 8).
+
+Orders up to 9 take a fraction of a second; order 10 takes seconds,
+which is why going past the default cap warns.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import CapacityError
 from .groups import FiniteGroup
@@ -33,6 +39,14 @@ def _rows(t: "CayleyTable | Table") -> Table:
     if isinstance(t, CayleyTable):
         return t.table
     return tuple(tuple(row) for row in t)
+
+
+def _group_rows(t: "CayleyTable | Table") -> Table:
+    """The rows of t, validated first unless t is an already checked CayleyTable."""
+    table = _rows(t)
+    if not isinstance(t, CayleyTable):
+        validate_table(table)
+    return table
 
 
 def validate_table(table: Table) -> None:
@@ -125,8 +139,14 @@ def _consistent(n: int, t: list[int], pre: list[list[tuple[int, int]]], i: int, 
     return True
 
 
-def _all_labeled_tables(n: int) -> list[Table]:
-    """Every group table on {0..n-1} with identity 0, by backtracking."""
+def _candidate_tables(n: int) -> list[Table]:
+    """Every group table on {0..n-1} with identity 0 that could be canonical.
+
+    A backtracker over the interior cells in row-major order.  A canonical
+    table names its labels in row 1 in first-appearance order (see
+    canonical_form), so entry (1, j) is at most one more than the largest
+    label named so far: j itself or any earlier entry of row 1.
+    """
     t = [-1] * (n * n)
     for j in range(n):
         t[j] = j
@@ -147,6 +167,8 @@ def _all_labeled_tables(n: int) -> list[Table]:
             return
         i, j = cells[depth]
         avail = ~(rowmask[i] | colmask[j]) & limit
+        if i == 1:
+            avail &= (4 << max(j, *t[n : n + j])) - 1
         pos = i * n + j
         while avail:
             bit = avail & -avail
@@ -168,44 +190,82 @@ def _all_labeled_tables(n: int) -> list[Table]:
 
 
 def canonical_form(t: "CayleyTable | Table") -> Table:
-    """Least relabeling of the table among all that keep the identity at 0.
+    """Least relabeling of the group table among all that keep the identity at 0.
 
     Two tables describe the same group up to renaming iff their canonical
-    forms are equal.  Comparison is row-wise lexicographic with early
-    abort, so most relabelings are discarded after a handful of entries.
+    forms are equal.  Comparison is row-wise lexicographic.  The relabeling
+    is built while the candidate is read in row-major order: a header
+    label with no element yet branches over every unlabeled element, and
+    an unlabeled product takes the next free label, since any other label
+    there is larger.  Row 1 thereby names every label (first-appearance
+    order), so later rows are fixed, and a branch is cut as soon as its
+    prefix exceeds the best candidate found so far.
     """
     table = _rows(t)
     n = len(table)
     if n <= 2:
         return table
-    best: list[tuple[int, ...]] | None = None
-    sigma = [0] * n
-    for rho_rest in permutations(range(1, n)):
-        rho = (0,) + rho_rest  # new label -> old label
-        for new, old in enumerate(rho):
-            sigma[old] = new
-        cand: list[tuple[int, ...]] = [tuple(range(n))]
-        verdict = 0  # against best: -1 smaller, 0 equal so far, 1 larger
-        for x in range(1, n):
+    rho = [0] * n  # new label -> old element
+    sigma = [0] + [-1] * (n - 1)  # old element -> new label, -1 if unlabeled
+    row1 = [1] * n  # row 1 of the candidate, filled left to right
+    best: list[tuple[int, ...]] = []
+
+    # Invariant: labels 0..k-1 are assigned, row-1 cells 1..y-1 are filled,
+    # and ``tight`` says they equal best's (False before the first leaf).
+    # Each call returns whether best was replaced below it; the new best
+    # shares the caller's prefix, so the caller is tight from then on.
+    def header(y: int, k: int, tight: bool) -> bool:
+        if y == n:
+            return leaf(tight)
+        if y < k:
+            return cell(y, k, tight)
+        improved = False
+        for e in range(1, n):
+            if sigma[e] < 0:
+                rho[y] = e
+                sigma[e] = y
+                if cell(y, k + 1, tight):
+                    improved = tight = True
+                sigma[e] = -1
+        return improved
+
+    def cell(y: int, k: int, tight: bool) -> bool:
+        p = table[rho[1]][rho[y]]
+        fresh = sigma[p] < 0
+        if fresh:
+            sigma[p] = k
+            rho[k] = p
+        v = sigma[p]
+        improved = False
+        if not tight or v <= best[1][y]:
+            row1[y] = v
+            improved = header(y + 1, k + fresh, tight and v == best[1][y])
+        if fresh:
+            sigma[p] = -1
+        return improved
+
+    def leaf(tight: bool) -> bool:
+        rows = [tuple(range(n)), tuple(row1)]
+        for x in range(2, n):
             old_row = table[rho[x]]
             row = tuple(sigma[old_row[o]] for o in rho)
-            cand.append(row)
-            if best is not None and verdict == 0:
-                ref = best[x]
-                if row > ref:
-                    verdict = 1
-                    break
-                if row < ref:
-                    verdict = -1
-        if best is None or verdict == -1:
-            best = cand
-    assert best is not None
+            if tight:
+                if row > best[x]:
+                    return False
+                tight = row == best[x]
+            rows.append(row)
+        if tight:
+            return False
+        best[:] = rows
+        return True
+
+    header(1, 1, False)
     return tuple(best)
 
 
 def table_is_cyclic(t: "CayleyTable | Table") -> bool:
     """True iff some single element's powers sweep out the whole table."""
-    table = _rows(t)
+    table = _group_rows(t)
     n = len(table)
     if n == 1:
         return True
@@ -222,7 +282,7 @@ def table_is_cyclic(t: "CayleyTable | Table") -> bool:
 
 def element_orders(t: "CayleyTable | Table") -> tuple[int, ...]:
     """Sorted multiset of element orders, read directly off the table."""
-    table = _rows(t)
+    table = _group_rows(t)
     n = len(table)
     orders = []
     for g in range(n):
@@ -241,8 +301,7 @@ def regular_representation(t: "CayleyTable | Table") -> FiniteGroup:
     Row composition mirrors the table product, so the resulting
     permutation group is the same group realized concretely.
     """
-    table = _rows(t)
-    validate_table(table)
+    table = _group_rows(t)
     n = len(table)
     rows = [Permutation(row) for row in table]
     gens = tuple(rows[1:]) if n > 1 else (rows[0],)
@@ -253,8 +312,8 @@ def enumerate_groups(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[CayleyTabl
     """All groups of order n up to relabeling, as canonical-form tables.
 
     Refuses n beyond the cap (default 8, hard limit 10); raising the cap
-    past the default emits a warning because order 9 and 10 searches take
-    noticeably longer.
+    past the default emits a warning because the order-10 search takes
+    seconds rather than milliseconds.
     """
     if n < 1:
         raise ValueError("the order must be at least 1")
@@ -267,9 +326,7 @@ def enumerate_groups(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[CayleyTabl
         warnings.warn(
             f"enumerating groups of order {n} may take a while", RuntimeWarning, stacklevel=2
         )
-    seen: set[Table] = set()
-    for labeled in _all_labeled_tables(n):
-        seen.add(canonical_form(labeled))
+    seen = {canonical_form(table) for table in _candidate_tables(n)}
     return [CayleyTable(rep) for rep in sorted(seen)]
 
 

@@ -1,7 +1,8 @@
 """Shared fixtures: named small groups and the verification corpus.
 
 The heavyweight fixtures are session-scoped so the order-8 table
-enumeration and the subgroup inventories are computed once per run; the
+enumeration, the order-8 oracle tables and the subgroup inventories are
+computed once per run; the
 enumeration fixture keeps its own wall-clock time for the acceptance
 budget check.
 """
@@ -11,6 +12,7 @@ import time
 import pytest
 
 import cyclicnum as cn
+from cayley_oracles import all_labeled_tables
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +51,13 @@ def oracle_pack():
     classes = {n: cn.enumerate_groups(n) for n in range(1, 9)}
     elapsed = time.perf_counter() - t0
     return classes, elapsed
+
+
+@pytest.fixture(scope="session")
+def labeled_tables():
+    """Every identity-fixed group table of orders 1..8, from the unpruned
+    oracle search; order 8 alone takes about 40 s."""
+    return {n: all_labeled_tables(n) for n in range(1, 9)}
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from cyclicnum import (
     validate_table,
     verify_theorem_small,
 )
-from cyclicnum.cayley import _all_labeled_tables
+from cayley_oracles import brute_canonical_form
 
 # a Latin square with identity 0 that is not associative: (1*1)*1 = 3 but
 # 1*(1*1) = 0 (built from the order-6 cyclic table by swapping the
@@ -84,13 +84,19 @@ class TestEnumeration:
         assert len(classes[8]) == 5
         assert sum(1 for c in classes[8] if table_is_cyclic(c)) == 1
 
-    def test_labeled_table_counts(self):
+    def test_labeled_table_counts(self, labeled_tables):
         # identity-fixed group tables: sum over classes of (n-1)!/|Aut|
-        assert [len(_all_labeled_tables(n)) for n in range(1, 7)] == [1, 1, 1, 4, 6, 80]
+        assert [len(labeled_tables[n]) for n in range(1, 7)] == [1, 1, 1, 4, 6, 80]
 
-    def test_labeled_table_count_order_eight(self):
+    def test_labeled_table_count_order_eight(self, labeled_tables):
         # 7!/4 + 7!/8 + 7!/168 + 7!/8 + 7!/24 over the five classes
-        assert len(_all_labeled_tables(8)) == 2760
+        assert len(labeled_tables[8]) == 2760
+
+    def test_pruned_search_finds_every_oracle_class(self, oracle_pack, labeled_tables):
+        classes, _ = oracle_pack
+        for n in range(1, 9):
+            expected = {canonical_form(t) for t in labeled_tables[n]}
+            assert {c.table for c in classes[n]} == expected
 
     def test_order_eight_multisets(self, oracle_pack):
         classes, _ = oracle_pack
@@ -121,11 +127,18 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_groups(11, cap=20)
 
-    def test_above_default_warns(self, monkeypatch):
-        # point the searcher at an empty result so the warning path is cheap
-        monkeypatch.setattr("cyclicnum.cayley._all_labeled_tables", lambda n: [])
+    def test_above_default_warns(self):
         with pytest.warns(RuntimeWarning):
-            assert enumerate_groups(9, cap=10) == []
+            classes = enumerate_groups(9, cap=10)
+        assert len(classes) == 2
+
+    def test_orders_nine_and_ten_match_a000001(self):
+        # Z9, Z3 x Z3 and Z10, D5: two classes each, one of them cyclic
+        with pytest.warns(RuntimeWarning):
+            rows = verify_theorem_small(10, cap=10)
+        assert all(row.agree for row in rows)
+        for row in rows[8:]:
+            assert (row.group_count, row.cyclic_count) == (2, 1)
 
 
 class TestCanonicalForm:
@@ -146,6 +159,19 @@ class TestCanonicalForm:
                     shuffled = relabel(t.table, rho)
                     assert canonical_form(shuffled) == reference
 
+    def test_matches_brute_force_on_every_labeled_table_up_to_seven(self, labeled_tables):
+        for n in range(1, 8):
+            for table in labeled_tables[n]:
+                assert canonical_form(table) == brute_canonical_form(table)
+
+    def test_matches_brute_force_on_order_eight_relabelings(self, oracle_pack):
+        classes, _ = oracle_pack
+        rng = random.Random(20261018)
+        for t in classes[8]:
+            for _ in range(30):
+                shuffled = relabel(t.table, [0] + rng.sample(range(1, 8), 7))
+                assert canonical_form(shuffled) == brute_canonical_form(shuffled) == t.table
+
     def test_separates_the_two_order_four_groups(self):
         z4, v4 = circulant(4), ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
         assert canonical_form(z4) != canonical_form(v4)
@@ -163,6 +189,13 @@ class TestTableQueries:
     def test_element_orders_read_off_table(self):
         assert element_orders(circulant(6)) == (1, 2, 3, 3, 6, 6)
         assert element_orders(((0,),)) == (1,)
+
+    def test_raw_non_group_tables_rejected(self):
+        # ((0, 1), (1, 1)) once sent the power loop round 1 -> 1 forever
+        for query in (table_is_cyclic, element_orders):
+            for bad in (((0, 1), (1, 1)), NON_ASSOCIATIVE_LOOP):
+                with pytest.raises(ValueError):
+                    query(bad)
 
 
 class TestRegularRepresentation:
