@@ -265,19 +265,8 @@ def canonical_form(t: "CayleyTable | Table") -> Table:
 
 def table_is_cyclic(t: "CayleyTable | Table") -> bool:
     """True iff some single element's powers sweep out the whole table."""
-    table = _group_rows(t)
-    n = len(table)
-    if n == 1:
-        return True
-    for g in range(1, n):
-        order = 1
-        x = g
-        while x != 0:
-            x = table[x][g]
-            order += 1
-        if order == n:
-            return True
-    return False
+    orders = element_orders(t)
+    return orders[-1] == len(orders)
 
 
 def element_orders(t: "CayleyTable | Table") -> tuple[int, ...]:

@@ -19,12 +19,7 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 
-from .cayley import (
-    DEFAULT_ORDER_CAP,
-    element_orders,
-    enumerate_groups,
-    table_is_cyclic,
-)
+from .cayley import DEFAULT_ORDER_CAP, element_orders, enumerate_groups
 from .errors import CapacityError
 from .groups import (
     DEFAULT_CLOSURE_CAP,
@@ -35,11 +30,10 @@ from .groups import (
     conjugacy_class,
     count_conjugate_subgroups,
     is_abelian,
-    is_cyclic,
     maximal_subgroups,
     normalizer,
 )
-from .numtheory import check_conditions, cyclic_numbers, euler_phi, factorize, gcd
+from .numtheory import cyclic_numbers, factorize, gcd
 from .perm import Permutation, perm_order
 from .witness import DEGREE_CAP, WitnessCertificate, build_witness, verify_certificate
 
@@ -100,7 +94,7 @@ def load_generators(data: dict) -> tuple[int, tuple[Permutation, ...]]:
         raw = data["generators"]
     except KeyError as exc:
         raise ValueError(f"missing field {exc} (need 'degree' and 'generators')") from exc
-    if not isinstance(degree, int) or degree < 1:
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise ValueError("'degree' must be a positive integer")
     if not isinstance(raw, list) or not raw:
         raise ValueError("'generators' must be a non-empty list of image lists")
@@ -123,6 +117,15 @@ def _write_output(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _report(args, payload: dict, lines: list[str], status: int = 0) -> int:
+    """Write one report, as JSON under --json and as text lines otherwise."""
+    if args.json:
+        _write_output(_dump_json({"schema": 1, **payload}), args.out)
+    else:
+        _write_output("\n".join(lines) + "\n", args.out)
+    return status
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -134,9 +137,9 @@ def _format_factorization(factors: tuple[tuple[int, int], ...]) -> str:
 
 def cmd_check(args) -> int:
     n = args.n
-    report = check_conditions(n)
     fact = factorize(n)
-    phi = euler_phi(n)
+    report = fact.conditions()
+    phi = fact.phi
     g = gcd(n, phi)
     cyclic_number = report.squarefree_ok and report.arrow_ok
     verdict = (
@@ -144,41 +147,29 @@ def cmd_check(args) -> int:
         if cyclic_number
         else f"a non-cyclic group of order {n} exists"
     )
-    if args.json:
-        payload = {
-            "schema": 1,
-            "n": n,
-            "factorization": [list(pair) for pair in fact.factors],
-            "phi": phi,
-            "gcd": g,
-            "squarefree_ok": report.squarefree_ok,
-            "square_prime": report.square_prime,
-            "arrow_ok": report.arrow_ok,
-            "arrow_pair": list(report.arrow_pair) if report.arrow_pair else None,
-            "cyclic_number": cyclic_number,
-            "verdict": verdict,
-        }
-        _write_output(_dump_json(payload), args.out)
-        return 0 if cyclic_number else 1
+    p, pair = report.square_prime, report.arrow_pair
+    payload = {
+        "n": n,
+        "factorization": [list(factor) for factor in fact.factors],
+        "phi": phi,
+        "gcd": g,
+        "squarefree_ok": report.squarefree_ok,
+        "square_prime": p,
+        "arrow_ok": report.arrow_ok,
+        "arrow_pair": list(pair) if pair else None,
+        "cyclic_number": cyclic_number,
+        "verdict": verdict,
+    }
     lines = [
         f"n: {n}",
         f"factorization: {_format_factorization(fact.factors)}",
         f"phi(n): {phi}",
         f"gcd(n, phi(n)): {g}",
+        "squarefree: yes" if p is None else f"squarefree: no ({p}^2 divides {n})",
+        "prime pair with p dividing q-1: " + ("none" if pair is None else f"({pair[0]}, {pair[1]})"),
+        f"verdict: {verdict}",
     ]
-    if report.squarefree_ok:
-        lines.append("squarefree: yes")
-    else:
-        p = report.square_prime
-        lines.append(f"squarefree: no ({p}^2 divides {n})")
-    if report.arrow_ok:
-        lines.append("prime pair with p dividing q-1: none")
-    else:
-        p1, p2 = report.arrow_pair
-        lines.append(f"prime pair with p dividing q-1: ({p1}, {p2})")
-    lines.append(f"verdict: {verdict}")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0 if cyclic_number else 1
+    return _report(args, payload, lines, 0 if cyclic_number else 1)
 
 
 def cmd_sieve(args) -> int:
@@ -213,39 +204,42 @@ def cmd_verify(args) -> int:
     else:
         cert = certificate_from_dict(load_json_file(target))
     report = verify_certificate(cert, max_size=args.max_order)
-    if args.json:
-        payload = {
-            "schema": 1,
-            "n": cert.n,
-            "reason": cert.reason,
-            "group_size": report.group_size,
-            "order_ok": report.order_ok,
-            "max_element_order": report.max_element_order,
-            "noncyclic_ok": report.noncyclic_ok,
-            "passed": report.passed,
-        }
-        _write_output(_dump_json(payload), args.out)
-    else:
-        lines = [
-            f"n: {cert.n}",
-            f"reason: {cert.reason}",
-            f"group size: {report.group_size}",
-            f"order matches n: {'yes' if report.order_ok else 'no'}",
-            f"max element order: {report.max_element_order}",
-            f"non-cyclic: {'yes' if report.noncyclic_ok else 'no'}",
-            f"verdict: {'pass' if report.passed else 'FAIL'}",
-        ]
-        _write_output("\n".join(lines) + "\n", args.out)
-    return 0 if report.passed else 1
+    payload = {
+        "n": cert.n,
+        "reason": cert.reason,
+        "group_size": report.group_size,
+        "order_ok": report.order_ok,
+        "max_element_order": report.max_element_order,
+        "noncyclic_ok": report.noncyclic_ok,
+        "passed": report.passed,
+    }
+    lines = [
+        f"n: {cert.n}",
+        f"reason: {cert.reason}",
+        f"group size: {report.group_size}",
+        f"order matches n: {'yes' if report.order_ok else 'no'}",
+        f"max element order: {report.max_element_order}",
+        f"non-cyclic: {'yes' if report.noncyclic_ok else 'no'}",
+        f"verdict: {'pass' if report.passed else 'FAIL'}",
+    ]
+    return _report(args, payload, lines, 0 if report.passed else 1)
+
+
+def _conjugacy_classes(G: FiniteGroup):
+    """Each conjugacy class of G once, in order of its least element."""
+    seen: set = set()
+    for g in G.elements:
+        if g not in seen:
+            cls = conjugacy_class(G, g)
+            seen.update(cls)
+            yield cls
 
 
 def _analyze_group(G: FiniteGroup) -> dict:
-    gen = is_cyclic(G)
-    histogram = Counter(perm_order(g) for g in G.elements)
-    class_sizes = sorted(
-        len(conjugacy_class(G, g))
-        for g in _class_representatives(G)
-    )
+    orders = [perm_order(g) for g in G.elements]
+    # The first element of order |G| in canonical order, as is_cyclic returns.
+    gen = next((g for g, k in zip(G.elements, orders) if k == len(G)), None)
+    histogram = Counter(orders)
     info = {
         "degree": G.degree,
         "order": len(G),
@@ -254,7 +248,7 @@ def _analyze_group(G: FiniteGroup) -> dict:
         "abelian": is_abelian(G),
         "element_orders": {str(k): histogram[k] for k in sorted(histogram)},
         "center_size": len(center(G)),
-        "conjugacy_class_sizes": class_sizes,
+        "conjugacy_class_sizes": sorted(len(cls) for cls in _conjugacy_classes(G)),
         "maximal_subgroups": None,
     }
     if len(G) <= DEFAULT_SUBGROUP_BOUND:
@@ -271,23 +265,10 @@ def _analyze_group(G: FiniteGroup) -> dict:
     return info
 
 
-def _class_representatives(G: FiniteGroup):
-    seen: set = set()
-    for g in G.elements:
-        if g in seen:
-            continue
-        cls = conjugacy_class(G, g)
-        seen.update(cls)
-        yield g
-
-
 def cmd_analyze(args) -> int:
     _, gens = load_generators(load_json_file(args.path))
     G = closure(gens, max_size=args.max_order)
     info = _analyze_group(G)
-    if args.json:
-        _write_output(_dump_json({"schema": 1, **info}), args.out)
-        return 0
     lines = [
         f"degree: {info['degree']}",
         f"group order: {info['order']}",
@@ -309,37 +290,30 @@ def cmd_analyze(args) -> int:
                 f"normalizer size {row['normalizer_size']}, "
                 f"conjugates {row['conjugate_count']}"
             )
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return _report(args, info, lines)
 
 
 def cmd_enumerate(args) -> int:
-    classes = enumerate_groups(args.n, cap=args.max_order)
-    reports = [
-        {"cyclic": table_is_cyclic(c), "element_orders": list(element_orders(c))}
-        for c in classes
-    ]
-    cyclic_count = sum(1 for r in reports if r["cyclic"])
-    if args.json:
-        payload = {
-            "schema": 1,
-            "n": args.n,
-            "classes": len(classes),
-            "cyclic_classes": cyclic_count,
-            "class_reports": reports,
-        }
-        _write_output(_dump_json(payload), args.out)
-        return 0
+    n = args.n
+    reports = []
+    for c in enumerate_groups(n, cap=args.max_order):
+        orders = element_orders(c)
+        reports.append({"cyclic": orders[-1] == n, "element_orders": list(orders)})
+    payload = {
+        "n": n,
+        "classes": len(reports),
+        "cyclic_classes": sum(1 for r in reports if r["cyclic"]),
+        "class_reports": reports,
+    }
     lines = [
-        f"n: {args.n}",
-        f"classes: {len(classes)}",
-        f"cyclic classes: {cyclic_count}",
+        f"n: {n}",
+        f"classes: {payload['classes']}",
+        f"cyclic classes: {payload['cyclic_classes']}",
     ]
     for idx, r in enumerate(reports, start=1):
         orders = " ".join(str(o) for o in r["element_orders"])
         lines.append(f"class {idx}: cyclic {'yes' if r['cyclic'] else 'no'}, element orders {orders}")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return _report(args, payload, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ Euler's totient, gcd/Bezout, the two divisibility conditions that
 characterize cyclic numbers, and small multiplicative-order searches.
 Intended scale is n up to about 10**6; inputs are accepted up to 2**63 - 1
 but large prime inputs will be slow (plain trial division, no sieving).
+
+The totient and the two conditions are read off a Factorization
+(``phi`` and ``conditions()``), so a caller that needs several of them
+factorizes n once; euler_phi and check_conditions are the one-shot forms.
 """
 
 from __future__ import annotations
@@ -36,6 +40,30 @@ class Factorization:
     @property
     def is_squarefree(self) -> bool:
         return all(a == 1 for _, a in self.factors)
+
+    @property
+    def phi(self) -> int:
+        """Euler's totient of n: the product of (p - 1) * p**(a - 1)."""
+        phi = 1
+        for p, a in self.factors:
+            phi *= (p - 1) * p ** (a - 1)
+        return phi
+
+    def conditions(self) -> ConditionReport:
+        """The squarefree condition and the p1 | p2 - 1 condition for n."""
+        square_prime = next((p for p, a in self.factors if a >= 2), None)
+        primes = self.primes
+        arrow_pair = next(
+            ((p1, p2) for p1 in primes for p2 in primes if p1 != p2 and (p2 - 1) % p1 == 0),
+            None,
+        )
+        return ConditionReport(
+            n=self.n,
+            squarefree_ok=square_prime is None,
+            square_prime=square_prime,
+            arrow_ok=arrow_pair is None,
+            arrow_pair=arrow_pair,
+        )
 
 
 @dataclass(frozen=True)
@@ -102,11 +130,7 @@ def factorize(n: int) -> Factorization:
 
 def euler_phi(n: int) -> int:
     """Count of integers in 1..n coprime to n, via the factorization of n."""
-    _check_positive(n)
-    phi = 1
-    for p, a in factorize(n).factors:
-        phi *= (p - 1) * p ** (a - 1)
-    return phi
+    return factorize(n).phi
 
 
 def gcd(a: int, b: int) -> int:
@@ -136,35 +160,12 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 def is_cyclic_number(n: int) -> bool:
     """True iff gcd(n, phi(n)) = 1, i.e. every group of order n is cyclic."""
-    _check_positive(n)
     return math.gcd(n, euler_phi(n)) == 1
 
 
 def check_conditions(n: int) -> ConditionReport:
     """Evaluate the squarefree condition and the p1 | p2 - 1 condition for n."""
-    _check_positive(n)
-    fact = factorize(n)
-    square_prime = None
-    for p, a in fact.factors:
-        if a >= 2:
-            square_prime = p
-            break
-    arrow_pair = None
-    primes = fact.primes
-    for p1 in primes:
-        for p2 in primes:
-            if p1 != p2 and (p2 - 1) % p1 == 0:
-                arrow_pair = (p1, p2)
-                break
-        if arrow_pair is not None:
-            break
-    return ConditionReport(
-        n=n,
-        squarefree_ok=square_prime is None,
-        square_prime=square_prime,
-        arrow_ok=arrow_pair is None,
-        arrow_pair=arrow_pair,
-    )
+    return factorize(n).conditions()
 
 
 def mod_pow(base: int, exp: int, modulus: int) -> int:

@@ -100,7 +100,9 @@ def compose(f: Permutation, g: Permutation) -> Permutation:
     gi = g.images
     if len(fi) != len(gi):
         raise ValueError(f"degree mismatch: {len(fi)} vs {len(gi)}")
-    return Permutation._trusted(tuple(fi[v] for v in gi))
+    # A list first: tuple() over a generator grows by repeated reallocation,
+    # which fragments the heap when a closure builds thousands of these.
+    return Permutation._trusted(tuple([fi[v] for v in gi]))
 
 
 def inverse(f: Permutation) -> Permutation:

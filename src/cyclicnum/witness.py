@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .errors import CapacityError
-from .groups import closure, is_cyclic
+from .groups import closure
 from .numtheory import (
     _check_positive,
     check_conditions,
@@ -68,8 +68,9 @@ def _validate_arrow_params(n: int, params: dict, degree: int) -> None:
 class WitnessCertificate:
     """Claim that a specific generated group is non-cyclic of order n.
 
-    Construction arithmetic (primality, divisibility, the order of a, the
-    degree formula) is checked eagerly, so a certificate that parses is at
+    Field types (``n`` and ``degree`` are ints, not floats or bools) and
+    construction arithmetic (primality, divisibility, the order of a, the
+    degree formula) are checked eagerly, so a certificate that parses is at
     least internally consistent.  Whether the generators really produce a
     non-cyclic group of order n is deliberately left to
     verify_certificate.
@@ -82,6 +83,10 @@ class WitnessCertificate:
     generators: tuple[Permutation, ...]
 
     def __post_init__(self):
+        for name in ("n", "degree"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"certificate field {name!r} must be an integer, got {value!r}")
         _check_positive(self.n)
         if self.reason == "square":
             _validate_square_params(self.n, self.params, self.degree)
@@ -203,14 +208,15 @@ def build_witness(n: int, *, max_degree: int = DEGREE_CAP) -> WitnessCertificate
 def verify_certificate(cert: WitnessCertificate, *, max_size: int = 20000) -> VerificationReport:
     """Recompute the group from the certificate's generators and re-check it.
 
-    Nothing is taken on faith: the closure is rebuilt, its size compared
-    with n, and cyclicity decided by scanning element orders.
+    Nothing is taken on faith: the closure is rebuilt and its size compared
+    with n.  One pass computes every element order; since each order
+    divides |G|, the group is cyclic exactly when the largest reaches |G|.
     """
     G = closure(cert.generators, max_size=max_size)
-    orders = [perm_order(g) for g in G.elements]
+    max_order = max(perm_order(g) for g in G.elements)
     return VerificationReport(
         order_ok=len(G) == cert.n,
-        noncyclic_ok=is_cyclic(G) is None,
+        noncyclic_ok=max_order < len(G),
         group_size=len(G),
-        max_element_order=max(orders),
+        max_element_order=max_order,
     )

@@ -136,6 +136,23 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", str(path))
         assert rc == 2 and "error" in err
 
+    @pytest.mark.parametrize("field,value", [("n", 6.0), ("degree", 9.0), ("n", True), ("degree", True)])
+    def test_non_integer_field_is_input_error(self, capsys, tmp_path, field, value):
+        path = tmp_path / "w6.json"
+        run(capsys, "witness", "6", "--out", str(path))
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "verify", str(path))
+        assert rc == 2 and out == ""
+        assert f"'{field}' must be an integer" in err
+
+    def test_plain_group_file_is_not_a_certificate(self, capsys, tmp_path):
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps({"degree": 3, "generators": [[1, 2, 0]]}))
+        rc, _, err = run(capsys, "verify", str(path))
+        assert rc == 2 and "missing or mistypes a field: 'n'" in err
+
     def test_unreadable_or_malformed(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "verify", str(tmp_path / "missing.json"))
         assert rc == 2
@@ -187,6 +204,14 @@ class TestAnalyze:
         path.write_text(json.dumps({"degree": 3, "generators": [[0, 0, 1]]}))
         rc, _, err = run(capsys, "analyze", str(path))
         assert rc == 2 and "error" in err
+
+    @pytest.mark.parametrize("degree", [True, 1.0])
+    def test_non_integer_degree_rejected(self, capsys, tmp_path, degree):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"degree": degree, "generators": [[0]]}))
+        rc, out, err = run(capsys, "analyze", str(path))
+        assert rc == 2 and out == ""
+        assert "'degree' must be a positive integer" in err
 
     def test_degree_mismatch_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
