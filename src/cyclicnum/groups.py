@@ -5,10 +5,12 @@ permutations.  Elements are kept in a canonical order (sorted by image
 table) so group equality, subgroup identity, and conjugate-subgroup
 deduplication are plain set comparisons.
 
-Structural queries that touch many products (subgroup lattices,
-normalizers, conjugate counting) run on a cached index multiplication
-table once a group is small enough to afford one; everything else works
-directly on the permutations.
+Queries work directly on the permutations at every group size.
+Conjugacy classes and the conjugates of a subgroup are orbits under
+conjugation by the generators alone, so neither sweeps all of G, and a
+normalizer tests one element per coset.  Only the subgroup lattice,
+capped at order 64, builds an index multiplication table (|G|^2
+entries), and it does so inside the call.
 """
 
 from __future__ import annotations
@@ -21,31 +23,17 @@ from .perm import Permutation, compose, identity, perm_order
 DEFAULT_CLOSURE_CAP = 20000
 DEFAULT_SUBGROUP_BOUND = 64
 
-# Above this order, ops fall back to direct permutation arithmetic rather
-# than paying |G|^2 compositions for an index table nobody asked for.
-_TABLE_LIMIT = 512
-
 
 class _IndexTable:
-    """Multiplication/inverse tables over the canonical element order."""
+    """Multiplication table over the canonical element order."""
 
-    __slots__ = ("elems", "index", "mul", "inv", "e")
+    __slots__ = ("elems", "mul", "e")
 
     def __init__(self, elements: Sequence[Permutation]):
         self.elems = list(elements)
-        self.index = {g: i for i, g in enumerate(self.elems)}
-        index = self.index
-        n = len(self.elems)
+        index = {g: i for i, g in enumerate(self.elems)}
         self.mul = [[index[compose(a, b)] for b in self.elems] for a in self.elems]
         self.e = index[identity(self.elems[0].degree)]
-        e = self.e
-        self.inv = [0] * n
-        for i in range(n):
-            row = self.mul[i]
-            for j in range(n):
-                if row[j] == e:
-                    self.inv[i] = j
-                    break
 
     def close(self, seed: Iterable[int]) -> frozenset[int]:
         """Subgroup of indices generated by the seed indices."""
@@ -65,17 +53,13 @@ class _IndexTable:
             frontier = fresh
         return frozenset(els)
 
-    def conjugate(self, idxs: Iterable[int], b: int) -> frozenset[int]:
-        mul = self.mul
-        ib = self.inv[b]
-        return frozenset(mul[mul[ib][f]][b] for f in idxs)
-
 
 class FiniteGroup:
     """A closed set of equal-degree permutations plus its generating set.
 
     Construct with closure(); the constructor itself trusts its inputs.
-    Immutable once built (the index table cache is derived data only).
+    Immutable once built.  The identity is always elements[0], since its
+    image table sorts first.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation], elements: Iterable[Permutation]):
@@ -83,7 +67,6 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self.elements = tuple(sorted(elements))
         self._elem_set = frozenset(self.elements)
-        self._table_cache: _IndexTable | None = None
 
     @property
     def order(self) -> int:
@@ -110,16 +93,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"<FiniteGroup of order {len(self.elements)} on {self.degree} points>"
-
-    def _table(self) -> _IndexTable:
-        if self._table_cache is None:
-            self._table_cache = _IndexTable(self.elements)
-        return self._table_cache
-
-    def _table_if_cheap(self) -> _IndexTable | None:
-        if self._table_cache is None and len(self.elements) > _TABLE_LIMIT:
-            return None
-        return self._table()
 
 
 class Subgroup:
@@ -259,7 +232,7 @@ def left_cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[Permutation, ...]]:
     for x in G.elements:
         if x in covered:
             continue
-        block = tuple(sorted(x * h for h in H.elements))
+        block = tuple(sorted([x, *(x * h for h in H.elements[1:])]))
         covered.update(block)
         blocks.append(block)
     return blocks
@@ -289,9 +262,42 @@ def conjugate_element(G: FiniteGroup, f: Permutation, b: Permutation) -> Permuta
     return b.inverse() * f * b
 
 
+def _orbit(start, steps) -> set:
+    """Everything reachable from start by the step maps, breadth first.
+
+    With one step per generator of a group action this is the orbit under
+    the whole group: in a finite group each inverse is a positive power of
+    its element, so no inverse steps are needed.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for step in steps:
+                y = step(x)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return seen
+
+
+def _conjugations(G: FiniteGroup) -> list:
+    """For each generator b, the map x -> b^-1*x*b, composed in one pass."""
+    steps = []
+    for b in G.generators:
+        def step(x, ib=b.inverse().images, bi=b.images):
+            xi = x.images
+            return Permutation._trusted(tuple([ib[xi[v]] for v in bi]))
+        steps.append(step)
+    return steps
+
+
 def conjugacy_class(G: FiniteGroup, g: Permutation) -> frozenset[Permutation]:
+    """All b^-1*g*b, as the orbit of g under conjugation by the generators."""
     _require_member(G, g)
-    return frozenset(b.inverse() * g * b for b in G.elements)
+    return frozenset(_orbit(g, _conjugations(G)))
 
 
 def conjugate_subgroup(G: FiniteGroup, F: Subgroup, b: Permutation) -> Subgroup:
@@ -302,56 +308,37 @@ def conjugate_subgroup(G: FiniteGroup, F: Subgroup, b: Permutation) -> Subgroup:
 
 
 def normalizer(G: FiniteGroup, F: Subgroup) -> Subgroup:
-    """Elements a with F*a = a*F; always a subgroup containing F."""
-    _require_subgroup_of(G, F)
-    table = G._table_if_cheap()
-    if table is not None:
-        mul = table.mul
-        fidx = [table.index[f] for f in F.elements]
-        keep = [
-            table.elems[a]
-            for a in range(len(table.elems))
-            if {mul[f][a] for f in fidx} == {mul[a][f] for f in fidx}
-        ]
-        return Subgroup._trusted(G, keep)
-    keep = [
-        a
-        for a in G.elements
-        if {f * a for f in F.elements} == {a * f for f in F.elements}
-    ]
+    """Elements a with F*a = a*F; always a subgroup containing F.
+
+    N(F) is a union of left cosets of F, so one test per coset a*F keeps
+    or drops the whole coset; F*a = a*F exactly when F*a lies in a*F.
+    """
+    keep: list[Permutation] = []
+    for block in left_cosets(G, F):
+        a, coset = block[0], frozenset(block)
+        if all(f * a in coset for f in F.elements[1:]):
+            keep.extend(block)
     return Subgroup._trusted(G, keep)
+
+
+def _conjugates(G: FiniteGroup, F: Subgroup) -> set[frozenset[Permutation]]:
+    """The distinct conjugates of F, each without the identity, as the
+    orbit of F under conjugation by the generators."""
+    steps = [lambda S, c=c: frozenset(map(c, S)) for c in _conjugations(G)]
+    return _orbit(frozenset(F.elements[1:]), steps)
 
 
 def count_conjugate_subgroups(G: FiniteGroup, F: Subgroup) -> int:
     """Number of distinct b^-1*F*b over b in G (including F), by enumeration."""
     _require_subgroup_of(G, F)
-    table = G._table_if_cheap()
-    if table is not None:
-        fidx = [table.index[f] for f in F.elements]
-        return len({table.conjugate(fidx, b) for b in range(len(table.elems))})
-    seen = set()
-    for b in G.elements:
-        ib = b.inverse()
-        seen.add(frozenset(ib * f * b for f in F.elements))
-    return len(seen)
+    return len(_conjugates(G, F))
 
 
 def noncentral_union_size(G: FiniteGroup, F: Subgroup) -> int:
     """Count of non-central elements of G in the union of all conjugates of F."""
     _require_subgroup_of(G, F)
-    central = center(G)._elem_set
-    table = G._table_if_cheap()
-    if table is not None:
-        fidx = [table.index[f] for f in F.elements]
-        union: set[int] = set()
-        for b in range(len(table.elems)):
-            union.update(table.conjugate(fidx, b))
-        return len(union) - sum(1 for i in union if table.elems[i] in central)
-    union_perms: set[Permutation] = set()
-    for b in G.elements:
-        ib = b.inverse()
-        union_perms.update(ib * f * b for f in F.elements)
-    return len(union_perms - central)
+    union = set().union(*_conjugates(G, F))
+    return len(union - center(G)._elem_set)
 
 
 def minimal_power_in_subgroup(G: FiniteGroup, h: Permutation, F: Subgroup) -> int:
@@ -368,9 +355,7 @@ def minimal_power_in_subgroup(G: FiniteGroup, h: Permutation, F: Subgroup) -> in
 
 def conjugate_only_to_powers(G: FiniteGroup, f: Permutation) -> bool:
     """True iff every conjugate of f is a power of f."""
-    _require_member(G, f)
-    powers = generated_subgroup(G, f)._elem_set
-    return all(b.inverse() * f * b in powers for b in G.elements)
+    return conjugacy_class(G, f) <= generated_subgroup(G, f)._elem_set
 
 
 def all_subgroups(G: FiniteGroup, *, max_order: int = DEFAULT_SUBGROUP_BOUND) -> list[Subgroup]:
@@ -384,7 +369,7 @@ def all_subgroups(G: FiniteGroup, *, max_order: int = DEFAULT_SUBGROUP_BOUND) ->
         raise CapacityError(
             f"subgroup enumeration is limited to groups of order {max_order}"
         )
-    table = G._table()
+    table = _IndexTable(G.elements)
     mul = table.mul
     e = table.e
     seeds: set[frozenset[int]] = set()

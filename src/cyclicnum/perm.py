@@ -27,6 +27,8 @@ class Permutation:
             raise ValueError("a permutation needs degree at least 1")
         seen = [False] * m
         for v in images:
+            if type(v) is not int:
+                raise ValueError(f"permutation images must be ints, got {v!r}")
             if not 0 <= v < m or seen[v]:
                 raise ValueError(f"images {images!r} are not a bijection on 0..{m - 1}")
             seen[v] = True

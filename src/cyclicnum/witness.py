@@ -37,43 +37,53 @@ DEGREE_CAP = 10000
 Reason = Literal["square", "arrow"]
 
 
+# Both validators test primality last: once the degree formula holds, each
+# prime is below the degree, which the generators' image lists spell out.
+
 def _validate_square_params(n: int, params: dict, degree: int) -> None:
     p = params.get("p")
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or p < 2:
         raise ValueError("square witness needs a prime parameter p")
     if n % (p * p) != 0:
         raise ValueError(f"p^2 = {p * p} does not divide n = {n}")
     if degree != p + n // p:
         raise ValueError(f"square witness of n = {n}, p = {p} must have degree {p + n // p}")
+    if not is_prime(p):
+        raise ValueError("square witness needs a prime parameter p")
 
 
 def _validate_arrow_params(n: int, params: dict, degree: int) -> None:
     p1, p2, a = params.get("p1"), params.get("p2"), params.get("a")
     for name, value in (("p1", p1), ("p2", p2)):
-        if not isinstance(value, int) or not is_prime(value):
+        if not isinstance(value, int) or value < 2:
             raise ValueError(f"arrow witness needs a prime parameter {name}")
     if (p2 - 1) % p1 != 0:
         raise ValueError(f"p1 = {p1} does not divide p2 - 1 = {p2 - 1}")
     if n % (p1 * p2) != 0:
         raise ValueError(f"p1*p2 = {p1 * p2} does not divide n = {n}")
-    if not isinstance(a, int) or not 1 < a < p2 or multiplicative_order(a, p2) != p1:
-        raise ValueError(f"parameter a must have multiplicative order {p1} mod {p2}")
     m = n // (p1 * p2)
     expected = p2 * p2 + (m if m > 1 else 0)
     if degree != expected:
         raise ValueError(f"arrow witness of n = {n} must have degree {expected}")
+    for name, value in (("p1", p1), ("p2", p2)):
+        if not is_prime(value):
+            raise ValueError(f"arrow witness needs a prime parameter {name}")
+    # With p1 and p2 prime and a != 1, a^p1 = 1 means a has order exactly p1.
+    if not isinstance(a, int) or not 1 < a < p2 or pow(a, p1, p2) != 1:
+        raise ValueError(f"parameter a must have multiplicative order {p1} mod {p2}")
 
 
 @dataclass(frozen=True)
 class WitnessCertificate:
     """Claim that a specific generated group is non-cyclic of order n.
 
-    Field types (``n`` and ``degree`` are ints, not floats or bools) and
-    construction arithmetic (primality, divisibility, the order of a, the
-    degree formula) are checked eagerly, so a certificate that parses is at
-    least internally consistent.  Whether the generators really produce a
-    non-cyclic group of order n is deliberately left to
-    verify_certificate.
+    Field types (``n`` and ``degree`` are ints, not floats or bools), the
+    generator degrees and construction arithmetic (divisibility, the degree
+    formula, primality, the order of a) are checked eagerly and in that
+    order, so a certificate that parses is at least internally consistent,
+    and no check costs more than the size of its generators allows.
+    Whether the generators really produce a non-cyclic group of order n is
+    deliberately left to verify_certificate.
     """
 
     n: int
@@ -88,17 +98,17 @@ class WitnessCertificate:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"certificate field {name!r} must be an integer, got {value!r}")
         _check_positive(self.n)
+        if not self.generators:
+            raise ValueError("a witness needs at least one generator")
+        for g in self.generators:
+            if g.degree != self.degree:
+                raise ValueError("generator degree does not match the certificate degree")
         if self.reason == "square":
             _validate_square_params(self.n, self.params, self.degree)
         elif self.reason == "arrow":
             _validate_arrow_params(self.n, self.params, self.degree)
         else:
             raise ValueError(f"unknown witness reason {self.reason!r}")
-        if not self.generators:
-            raise ValueError("a witness needs at least one generator")
-        for g in self.generators:
-            if g.degree != self.degree:
-                raise ValueError("generator degree does not match the certificate degree")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -136,6 +137,28 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", str(path))
         assert rc == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "order,fields",
+        [
+            (12, {"params": {"p": 2**61 - 1}}),
+            (6, {"params": {"p1": 2, "p2": 2**61 - 1, "a": 2}, "n": 2 * (2**61 - 1)}),
+        ],
+        ids=["square", "arrow"],
+    )
+    def test_huge_prime_parameter_fails_fast(self, capsys, tmp_path, order, fields):
+        # Divisibility and the degree formula bound every prime by the file's
+        # own degree, so 2^61 - 1 is never tested by trial division.
+        path = tmp_path / "w.json"
+        run(capsys, "witness", str(order), "--out", str(path))
+        data = json.loads(path.read_text())
+        data.update(fields)
+        path.write_text(json.dumps(data))
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, "verify", str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2 and out == ""
+        assert "does not divide" in err or "must have degree" in err
+
     @pytest.mark.parametrize("field,value", [("n", 6.0), ("degree", 9.0), ("n", True), ("degree", True)])
     def test_non_integer_field_is_input_error(self, capsys, tmp_path, field, value):
         path = tmp_path / "w6.json"
@@ -204,6 +227,14 @@ class TestAnalyze:
         path.write_text(json.dumps({"degree": 3, "generators": [[0, 0, 1]]}))
         rc, _, err = run(capsys, "analyze", str(path))
         assert rc == 2 and "error" in err
+
+    @pytest.mark.parametrize("images", [[True, False], [1.0, 0.0]])
+    def test_non_integer_images_rejected(self, capsys, tmp_path, images):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"degree": 2, "generators": [images]}))
+        rc, out, err = run(capsys, "analyze", str(path))
+        assert rc == 2 and out == ""
+        assert "permutation images must be ints" in err
 
     @pytest.mark.parametrize("degree", [True, 1.0])
     def test_non_integer_degree_rejected(self, capsys, tmp_path, degree):

@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 import cyclicnum as cn
-import cyclicnum.groups as gm
+import group_oracles as oracle
 from cyclicnum import CapacityError, Permutation, Subgroup, cycle, identity
 
 
@@ -256,27 +256,6 @@ class TestNormalizerAndCounting:
         T = cn.generated_subgroup(s3, cycle([0, 1], 3))
         assert cn.count_conjugate_subgroups(s3, T) == 3
 
-    def test_direct_path_matches_table_path(self, monkeypatch):
-        # same answers whether or not the index-table shortcut is available
-        gens = [cycle([0, 1, 2, 3], 4), cycle([1, 3], 4)]
-        with_table = cn.closure(gens)
-        without_table = cn.closure(gens)
-        subs = cn.all_subgroups(with_table)  # builds and caches a table
-        monkeypatch.setattr(gm, "_TABLE_LIMIT", -1)
-        assert without_table._table_if_cheap() is None
-        for H in subs:
-            H2 = Subgroup._trusted(without_table, H.elements)
-            assert (
-                cn.normalizer(with_table, H).elements
-                == cn.normalizer(without_table, H2).elements
-            )
-            assert cn.count_conjugate_subgroups(
-                with_table, H
-            ) == cn.count_conjugate_subgroups(without_table, H2)
-            assert cn.noncentral_union_size(
-                with_table, H
-            ) == cn.noncentral_union_size(without_table, H2)
-
 
 class TestSubgroupEnumeration:
     def test_s3_inventory(self, s3):
@@ -401,6 +380,39 @@ class TestConjugateOnlyToPowers:
     def test_s3_rotation_true_transposition_false(self, s3):
         assert cn.conjugate_only_to_powers(s3, cycle([0, 1, 2], 3))
         assert not cn.conjugate_only_to_powers(s3, cycle([0, 1], 3))
+
+
+class TestAgainstSweepOracles:
+    """Orbit and coset computations against sweeps over all of G."""
+
+    def assert_matches_oracles(self, G, subgroups, elements, label):
+        Z = cn.center(G)._elem_set
+        for F in subgroups:
+            assert set(cn.normalizer(G, F).elements) == oracle.normalizer(G, F), label
+            conjugates = oracle.conjugate_subgroups(G, F)
+            assert cn.count_conjugate_subgroups(G, F) == len(conjugates), label
+            assert cn.noncentral_union_size(G, F) == len(set().union(*conjugates) - Z), label
+        for g in elements:
+            assert cn.conjugacy_class(G, g) == oracle.conjugacy_class(G, g), label
+            assert cn.conjugate_only_to_powers(G, g) == oracle.conjugate_only_to_powers(G, g), label
+
+    def test_every_subgroup_and_class_of_the_corpus(self, corpus_subgroups):
+        for name, (G, subgroups) in corpus_subgroups.items():
+            self.assert_matches_oracles(G, subgroups, G.elements, name)
+
+    @pytest.mark.parametrize("n", [546, 1014])
+    def test_groups_above_512_elements(self, n):
+        # 546: S3 x Z91 (arrow witness); 1014: Z13 x Z78 (square witness).
+        # One cyclic subgroup of each order up to 13 keeps the sweeps short.
+        G = cn.closure(cn.build_witness(n).generators)
+        assert len(G) == n > 512
+        first_of_order = {}
+        for g in G.elements:
+            first_of_order.setdefault(cn.element_order(G, g), g)
+        elements = [g for k, g in sorted(first_of_order.items()) if 1 < k <= 13]
+        subgroups = [cn.generated_subgroup(G, g) for g in elements]
+        assert len(subgroups) == 4
+        self.assert_matches_oracles(G, subgroups, elements, n)
 
 
 class TestProofArithmetic:

@@ -167,6 +167,15 @@ class TestCertificateValidation:
                 6, "arrow", {"p1": 2, "p2": 3, "a": 1}, 9, good.generators
             )
 
+    def test_multiplier_order_decided_exactly(self):
+        # mod 7, 2 and 4 have order 3; 3 and 5 have order 6, 6 has order 2
+        good = build_witness(21)
+        for a in (2, 4):
+            WitnessCertificate(21, "arrow", dict(good.params, a=a), good.degree, good.generators)
+        for a in (3, 5, 6, 7):
+            with pytest.raises(ValueError, match="multiplicative order"):
+                WitnessCertificate(21, "arrow", dict(good.params, a=a), good.degree, good.generators)
+
     def test_unknown_reason_rejected(self):
         good = build_witness(4)
         with pytest.raises(ValueError):
