@@ -96,7 +96,7 @@ def load_generators(data: dict) -> tuple[int, tuple[Permutation, ...]]:
         raise ValueError(f"missing field {exc} (need 'degree' and 'generators')") from exc
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise ValueError("'degree' must be a positive integer")
-    if not isinstance(raw, list) or not raw:
+    if not isinstance(raw, list) or not raw or not all(isinstance(images, list) for images in raw):
         raise ValueError("'generators' must be a non-empty list of image lists")
     gens = tuple(Permutation(images) for images in raw)
     for g in gens:

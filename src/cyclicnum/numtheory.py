@@ -1,10 +1,17 @@
 """Integer arithmetic behind the cyclicity criterion.
 
-Everything here is exact and deterministic: trial-division factorization,
-Euler's totient, gcd/Bezout, the two divisibility conditions that
-characterize cyclic numbers, and small multiplicative-order searches.
-Intended scale is n up to about 10**6; inputs are accepted up to 2**63 - 1
-but large prime inputs will be slow (plain trial division, no sieving).
+Everything here is exact and deterministic: factorization, Euler's
+totient, gcd/Bezout, the two divisibility conditions that characterize
+cyclic numbers, multiplicative orders, and a sieve for the cyclic numbers
+of a range.  Every n up to MAX_INPUT = 2**63 - 1 is supported in bounded
+time.  ``is_prime`` and ``factorize`` trial-divide by the primes up to
+1000, which settles every n below 10**6; above that, primality is
+Miller-Rabin to the first 12 prime bases (deterministic below
+3.18 * 10**23, Sorenson and Webster 2015), and a composite rest is split
+by Pollard's rho with Brent's cycle finding (Brent 1980) from fixed
+seeds.  The worst case below 2**63, a product of two primes near 2**31,
+factors in tens of milliseconds.  ``cyclic_numbers`` is a segmented
+totient sieve with fixed-size windows.
 
 The totient and the two conditions are read off a Factorization
 (``phi`` and ``conditions()``), so a caller that needs several of them
@@ -13,10 +20,29 @@ factorizes n once; euler_phi and check_conditions are the one-shot forms.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 MAX_INPUT = 2**63 - 1
+_SMALL_PRIME_BOUND = 1000
+
+
+def _primes_up_to(bound: int) -> tuple[int, ...]:
+    """The primes up to bound, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * (bound + 1)
+    flags[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return tuple(itertools.compress(range(bound + 1), flags))
+
+
+# The trial divisors of is_prime and factorize and the sieving primes of
+# cyclic_numbers.  An integer above 1 and at most _SMALL_PRIME_BOUND**2
+# with no prime factor up to _SMALL_PRIME_BOUND is itself prime.
+_SMALL_PRIMES = _primes_up_to(_SMALL_PRIME_BOUND)
 
 
 def _check_positive(n: int, name: str = "n") -> None:
@@ -84,46 +110,115 @@ class ConditionReport:
     arrow_pair: tuple[int, int] | None
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    limit = math.isqrt(n)
-    while d <= limit:
-        if n % d == 0 or n % (d + 2) == 0:
+def _is_strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin test of an odd n > 37 to the first 12 prime bases.
+
+    No composite below 3.18 * 10**23 passes all 12, so below MAX_INPUT the
+    answer is exact (Jaeschke 1993; Sorenson and Webster 2015).
+    """
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES[:12]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 6
     return True
 
 
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for n up to MAX_INPUT.
+
+    Trial division by the primes up to 1000 decides every n below 10**6;
+    a larger n with no such factor gets the 12-base Miller-Rabin test.
+    """
+    if n > MAX_INPUT:
+        raise ValueError("n exceeds the supported range (2**63 - 1)")
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return n > 1
+        if n % p == 0:
+            return False
+    return _is_strong_probable_prime(n)
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard's rho, Brent's cycle finding.
+
+    The map x -> x*x + c starts at 2 with c = 1, 2, ... in turn, so the
+    result is reproducible.  Differences are multiplied in batches of 128
+    between gcds; a batch that overshoots to gcd n is replayed step by step.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise AssertionError("unreachable: itertools.count never ends")
+
+
+def _large_cofactor_factors(m: int) -> tuple[tuple[int, int], ...]:
+    """(prime, multiplicity) pairs, primes ascending, of m with no prime factor up to 1000.
+
+    Each part is split by rho until it is at most 10**6 (and so prime) or
+    passes the Miller-Rabin test.
+    """
+    primes = []
+    parts = [m]
+    while parts:
+        x = parts.pop()
+        if x <= _SMALL_PRIME_BOUND**2 or _is_strong_probable_prime(x):
+            primes.append(x)
+        else:
+            d = _rho(x)
+            parts += (d, x // d)
+    return tuple(sorted(Counter(primes).items()))
+
+
 def factorize(n: int) -> Factorization:
-    """Prime decomposition by trial division; n = 1 gives an empty factor list."""
+    """Prime decomposition of n, primes ascending; n = 1 gives an empty factor list.
+
+    Trial division by the primes up to 1000 stops once p*p exceeds the
+    unfactored rest, which fully factors every n below 10**6.  A rest that
+    is still above 10**6 is split by Pollard-Brent rho.
+    """
     _check_positive(n)
     factors: list[tuple[int, int]] = []
     rest = n
-    for p in (2, 3):
+    for p in _SMALL_PRIMES:
+        if p * p > rest:
+            break
         if rest % p == 0:
             a = 0
             while rest % p == 0:
                 rest //= p
                 a += 1
             factors.append((p, a))
-    d = 5
-    while d * d <= rest:
-        for p in (d, d + 2):
-            if rest % p == 0:
-                a = 0
-                while rest % p == 0:
-                    rest //= p
-                    a += 1
-                factors.append((p, a))
-        d += 6
-    if rest > 1:
+    if rest > _SMALL_PRIME_BOUND**2:
+        factors += _large_cofactor_factors(rest)
+    elif rest > 1:
         factors.append((rest, 1))
     return Factorization(n, tuple(factors))
 
@@ -180,17 +275,20 @@ def mod_pow(base: int, exp: int, modulus: int) -> int:
 
 
 def multiplicative_order(a: int, modulus: int) -> int:
-    """Least k >= 1 with a**k = 1 mod modulus; a must be coprime to modulus."""
+    """Least k >= 1 with a**k = 1 mod modulus; a must be coprime to modulus.
+
+    The order divides phi(modulus): start there and divide out each prime
+    q of the exponent while a**(k/q) is still 1.
+    """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     a %= modulus
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
-    k = 1
-    acc = a
-    while acc != 1:
-        acc = acc * a % modulus
-        k += 1
+    k = euler_phi(modulus)
+    for q, _ in factorize(k).factors:
+        while k % q == 0 and pow(a, k // q, modulus) == 1:
+            k //= q
     return k
 
 
@@ -214,9 +312,42 @@ def element_of_order(p1: int, p2: int) -> int:
 
 
 def cyclic_numbers(lo: int, hi: int) -> list[int]:
-    """Ascending list of cyclic numbers in [lo, hi]."""
+    """Ascending list of cyclic numbers in [lo, hi], by a segmented totient sieve.
+
+    The range is cut into windows of 2**12 integers, so working memory does
+    not grow with it.  In each window every prime p up to min(sqrt(hi), 1000)
+    is divided out of its multiples, whose running totients gain a factor
+    p - 1, and p once more per further power of p dividing them.  What is
+    left of an n above 1 is then prime when it is at most 10**6 (always so
+    when hi <= 10**6); a larger rest is factorized.  n is cyclic when
+    gcd(n, phi(n)) = 1.
+    """
     _check_positive(lo, "lo")
     _check_positive(hi, "hi")
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
-    return [n for n in range(lo, hi + 1) if is_cyclic_number(n)]
+    limit = math.isqrt(hi)
+    primes = [p for p in _SMALL_PRIMES if p <= limit]
+    hits: list[int] = []
+    window = 1 << 12
+    for start in range(lo, hi + 1, window):
+        stop = min(start + window, hi + 1)
+        size = stop - start
+        rest = list(range(start, stop))
+        phi = [1] * size
+        for p in primes:
+            pk, factor = p, p - 1
+            while (i := -start % pk) < size:  # the window holds a multiple of p**k
+                rest[i::pk] = [m // p for m in rest[i::pk]]
+                phi[i::pk] = [f * factor for f in phi[i::pk]]
+                pk, factor = pk * p, p
+        if stop - 1 > _SMALL_PRIME_BOUND**2:
+            for i, m in enumerate(rest):
+                if m > _SMALL_PRIME_BOUND**2:
+                    phi[i] *= euler_phi(m)
+                    rest[i] = 1
+        # Every rest is now 1 or a prime m, which contributes m - 1 to phi.
+        hits += [
+            n for n, m, f in zip(range(start, stop), rest, phi) if math.gcd(n, f * (m - 1 or 1)) == 1
+        ]
+    return hits

@@ -39,6 +39,20 @@ class TestCheck:
         assert rc == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "n,factorization,rc",
+        [
+            (2**63 - 25, [[2**63 - 25, 1]], 0),  # the largest prime below 2^63
+            ((2**31 - 1) * (2**31 + 11), [[2**31 - 1, 1], [2**31 + 11, 1]], 0),
+            ((2**31 - 1) ** 2, [[2**31 - 1, 2]], 1),
+        ],
+        ids=["largest-prime", "balanced-semiprime", "prime-square"],
+    )
+    def test_extremes_of_the_range(self, capsys, n, factorization, rc):
+        got, out, _ = run(capsys, "check", str(n), "--json")
+        assert got == rc
+        assert json.loads(out)["factorization"] == factorization
+
     def test_json_shape(self, capsys):
         rc, out, _ = run(capsys, "check", "20", "--json")
         assert rc == 1
@@ -146,8 +160,8 @@ class TestVerify:
         ids=["square", "arrow"],
     )
     def test_huge_prime_parameter_fails_fast(self, capsys, tmp_path, order, fields):
-        # Divisibility and the degree formula bound every prime by the file's
-        # own degree, so 2^61 - 1 is never tested by trial division.
+        # Divisibility and the degree formula are checked before primality,
+        # so the bogus file is refused without any work on 2^61 - 1.
         path = tmp_path / "w.json"
         run(capsys, "witness", str(order), "--out", str(path))
         data = json.loads(path.read_text())
@@ -243,6 +257,14 @@ class TestAnalyze:
         rc, out, err = run(capsys, "analyze", str(path))
         assert rc == 2 and out == ""
         assert "'degree' must be a positive integer" in err
+
+    @pytest.mark.parametrize("generators", [[5], [[1, 0], None]], ids=["int", "null"])
+    def test_non_list_generator_rejected(self, capsys, tmp_path, generators):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"degree": 2, "generators": generators}))
+        rc, out, err = run(capsys, "analyze", str(path))
+        assert rc == 2 and out == ""
+        assert "'generators' must be a non-empty list of image lists" in err
 
     def test_degree_mismatch_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

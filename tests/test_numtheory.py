@@ -3,8 +3,9 @@
 import math
 import random
 
+import numtheory_oracles as oracle
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclicnum import (
     check_conditions,
@@ -23,6 +24,39 @@ from cyclicnum.numtheory import MAX_INPUT
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+
+# Primes at the top of the supported range: the largest below 2^63, the
+# three largest whose squares stay below 2^63, and the primes on either
+# side of 2^62 and of 2^32.
+LARGEST_PRIME = 2**63 - 25
+ROOT_PRIMES = (3037000493, 3037000453, 3037000429)
+LARGE_PRIMES = (LARGEST_PRIME, *ROOT_PRIMES, 2**31 - 1, 2**31 + 11, 2**61 - 1,
+                4611686018427387847, 4611686018427388039, 4294967291, 4294967311)
+
+# The least strong pseudoprimes to the first 1, 2, ..., 9 prime bases
+# (341550071728321 fools every base up to 17, 3825123056546413051 every
+# base up to 23), and three Carmichael numbers.
+STRONG_PSEUDOPRIMES = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+}
+CARMICHAEL = {561: (3, 11, 17), 1105: (5, 13, 17), 41041: (7, 11, 13, 41)}
+
+
+def assert_factorization(n):
+    """factorize(n) multiplies back to n, in ascending distinct primes."""
+    f = factorize(n)
+    primes = [p for p, _ in f.factors]
+    assert primes == sorted(set(primes))
+    assert all(is_prime(p) and a >= 1 for p, a in f.factors)
+    assert math.prod(p**a for p, a in f.factors) == n
+    return f.factors
 
 
 class TestFactorize:
@@ -65,6 +99,58 @@ class TestFactorize:
         assert [p for p in range(2, 100) if is_prime(p)] == PRIMES_BELOW_100
         assert not is_prime(1)
         assert not is_prime(0)
+
+    def test_is_prime_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            is_prime(MAX_INPUT + 1)
+
+
+class TestAgainstTrialDivision:
+    @given(st.integers(min_value=1, max_value=10**7))
+    def test_factorize_matches_oracle(self, n):
+        assert factorize(n).factors == oracle.factorize(n)
+
+    @given(st.integers(min_value=-10, max_value=10**7))
+    def test_is_prime_matches_oracle(self, n):
+        assert is_prime(n) == oracle.is_prime(n)
+
+    def test_is_prime_matches_oracle_below_20000(self):
+        assert [n for n in range(20000) if is_prime(n)] == [n for n in range(20000) if oracle.is_prime(n)]
+
+
+class TestTopOfRange:
+    """Far past the oracle's reach: checked by multiplication and is_prime."""
+
+    @pytest.mark.parametrize("p", LARGE_PRIMES)
+    def test_primes(self, p):
+        assert is_prime(p)
+        assert factorize(p).factors == ((p, 1),)
+
+    @pytest.mark.parametrize("p", ROOT_PRIMES + (2**31 - 1, 2**21 - 9))
+    def test_prime_powers(self, p):
+        for a in range(2, 4):
+            if p**a <= MAX_INPUT:
+                assert not is_prime(p**a)
+                assert factorize(p**a).factors == ((p, a),)
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [(ROOT_PRIMES[0], ROOT_PRIMES[1]), (ROOT_PRIMES[1], ROOT_PRIMES[2]),
+         (2**31 - 1, 2**31 + 11), (4294967291, 2147483647)],
+    )
+    def test_balanced_semiprimes(self, p, q):
+        n = p * q
+        assert n <= MAX_INPUT and not is_prime(n)
+        assert assert_factorization(n) == tuple((r, 1) for r in sorted((p, q)))
+
+    @pytest.mark.parametrize("n", range(MAX_INPUT - 200, MAX_INPUT + 1, 7))
+    def test_near_the_limit(self, n):
+        assert_factorization(n)
+
+    @pytest.mark.parametrize("n,primes", {**STRONG_PSEUDOPRIMES, **CARMICHAEL}.items())
+    def test_pseudoprimes_are_composite(self, n, primes):
+        assert not is_prime(n)
+        assert assert_factorization(n) == tuple((p, 1) for p in primes)
 
 
 class TestTotientAndGcd:
@@ -131,6 +217,21 @@ class TestModArith:
     def test_multiplicative_order_requires_coprime(self):
         with pytest.raises(ValueError):
             multiplicative_order(6, 9)
+        with pytest.raises(ValueError):
+            multiplicative_order(2, 1)
+
+    def test_multiplicative_order_matches_oracle_below_300(self):
+        for modulus in range(2, 300):
+            for a in range(modulus):
+                if math.gcd(a, modulus) == 1:
+                    assert multiplicative_order(a, modulus) == oracle.multiplicative_order(a, modulus)
+
+    @pytest.mark.parametrize("a,modulus", [(3, 10**12 + 39), (2, LARGEST_PRIME), (5, (2**31 - 1) * (2**31 + 11))])
+    def test_multiplicative_order_of_large_modulus(self, a, modulus):
+        k = multiplicative_order(a, modulus)
+        assert euler_phi(modulus) % k == 0
+        assert pow(a, k, modulus) == 1
+        assert all(pow(a, k // q, modulus) != 1 for q in factorize(k).primes)
 
 
 class TestElementOfOrder:
@@ -194,6 +295,33 @@ class TestCyclicNumbers:
         assert cyclic_numbers(1, 8) == [1, 2, 3, 5, 7]
         assert cyclic_numbers(14, 16) == [15]
         assert cyclic_numbers(20, 22) == []
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**6 - 2999))
+    def test_sieve_block_matches_oracle(self, lo):
+        assert cyclic_numbers(lo, lo + 2999) == oracle.cyclic_numbers(lo, lo + 2999)
+
+    def test_sieve_across_window_boundary(self):
+        # Windows hold 2**12 integers counted from lo, so this range spans
+        # nine, the last one partly.
+        lo, hi = 10**6 - 2**15 - 1000, 10**6
+        assert cyclic_numbers(lo, hi) == oracle.cyclic_numbers(lo, hi)
+
+    def test_sieve_above_table_square(self):
+        # Past 10**6 the sieve divides out only the primes up to 1000, and a
+        # rest with two larger prime factors must be split by rho.
+        lo, hi = 10**12, 10**12 + 300
+        fact = {n: oracle.factorize(n) for n in range(lo, hi + 1)}
+        assert any(sum(a for p, a in fs if p > 1000) >= 2 for fs in fact.values())
+        expected = [n for n, fs in fact.items() if math.gcd(n, oracle.totient(fs)) == 1]
+        assert cyclic_numbers(lo, hi) == expected
+
+    def test_sieve_at_the_limit(self):
+        # Past the oracle's reach: each factorization is checked by multiplication.
+        lo = MAX_INPUT - 300
+        expected = [n for n in range(lo, MAX_INPUT + 1)
+                    if math.gcd(n, oracle.totient(assert_factorization(n))) == 1]
+        assert cyclic_numbers(lo, MAX_INPUT) == expected
 
     def test_cyclic_numbers_rejects_bad_range(self):
         with pytest.raises(ValueError):
