@@ -1,7 +1,10 @@
 """Exhaustive enumeration of group multiplication tables.
 
-This is the independent cross-check for the rest of the package: it never
-touches permutations or number theory while searching.  Tables are n x n
+This is the independent cross-check for the rest of the package.  It
+imports nothing from the package except ``errors``, so it never touches
+permutations or number theory, and ``tests/test_layers.py`` checks that.
+The glue that realizes a table as a permutation group or compares the
+enumeration with the gcd test lives in ``crosscheck``.  Tables are n x n
 grids over {0..n-1} with 0 as the identity; the search fixes row 0 and
 column 0, keeps rows and columns Latin with bitmasks, and rejects an
 entry as soon as it completes any non-associative triple.
@@ -25,9 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .groups import FiniteGroup
-from .numtheory import is_cyclic_number
-from .perm import Permutation
 
 DEFAULT_ORDER_CAP = 8
 HARD_ORDER_CAP = 10
@@ -35,17 +35,12 @@ HARD_ORDER_CAP = 10
 Table = tuple[tuple[int, ...], ...]
 
 
-def _rows(t: "CayleyTable | Table") -> Table:
-    if isinstance(t, CayleyTable):
-        return t.table
-    return tuple(tuple(row) for row in t)
-
-
 def _group_rows(t: "CayleyTable | Table") -> Table:
     """The rows of t, validated first unless t is an already checked CayleyTable."""
-    table = _rows(t)
-    if not isinstance(t, CayleyTable):
-        validate_table(table)
+    if isinstance(t, CayleyTable):
+        return t.table
+    table = tuple(tuple(row) for row in t)
+    validate_table(table)
     return table
 
 
@@ -193,15 +188,23 @@ def canonical_form(t: "CayleyTable | Table") -> Table:
     """Least relabeling of the group table among all that keep the identity at 0.
 
     Two tables describe the same group up to renaming iff their canonical
-    forms are equal.  Comparison is row-wise lexicographic.  The relabeling
-    is built while the candidate is read in row-major order: a header
-    label with no element yet branches over every unlabeled element, and
-    an unlabeled product takes the next free label, since any other label
-    there is larger.  Row 1 thereby names every label (first-appearance
-    order), so later rows are fixed, and a branch is cut as soon as its
-    prefix exceeds the best candidate found so far.
+    forms are equal.  Comparison is row-wise lexicographic.  A raw table
+    is validated first, so a table that is not a group raises ValueError.
     """
-    table = _rows(t)
+    return _canonical_form(_group_rows(t))
+
+
+def _canonical_form(table: Table) -> Table:
+    """canonical_form of a table known to be a group table.
+
+    The relabeling is built while the candidate is read in row-major
+    order: a header label with no element yet branches over every
+    unlabeled element, and an unlabeled product takes the next free
+    label, since any other label there is larger.  Row 1 thereby names
+    every label (first-appearance order), so later rows are fixed, and a
+    branch is cut as soon as its prefix exceeds the best candidate found
+    so far.
+    """
     n = len(table)
     if n <= 2:
         return table
@@ -284,19 +287,6 @@ def element_orders(t: "CayleyTable | Table") -> tuple[int, ...]:
     return tuple(sorted(orders))
 
 
-def regular_representation(t: "CayleyTable | Table") -> FiniteGroup:
-    """The table's rows acting on {0..n-1}: row g sends x to g*x.
-
-    Row composition mirrors the table product, so the resulting
-    permutation group is the same group realized concretely.
-    """
-    table = _group_rows(t)
-    n = len(table)
-    rows = [Permutation(row) for row in table]
-    gens = tuple(rows[1:]) if n > 1 else (rows[0],)
-    return FiniteGroup(n, gens, rows)
-
-
 def enumerate_groups(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[CayleyTable]:
     """All groups of order n up to relabeling, as canonical-form tables.
 
@@ -315,42 +305,6 @@ def enumerate_groups(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[CayleyTabl
         warnings.warn(
             f"enumerating groups of order {n} may take a while", RuntimeWarning, stacklevel=2
         )
-    seen = {canonical_form(table) for table in _candidate_tables(n)}
+    # The candidates are group tables by construction: skip re-validating them.
+    seen = {_canonical_form(table) for table in _candidate_tables(n)}
     return [CayleyTable(rep) for rep in sorted(seen)]
-
-
-@dataclass(frozen=True)
-class TheoremRow:
-    """One order's worth of evidence comparing enumeration with the test."""
-
-    n: int
-    group_count: int
-    cyclic_count: int
-    all_cyclic: bool
-    predicted: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.all_cyclic == self.predicted
-
-
-def verify_theorem_small(n_max: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[TheoremRow]:
-    """For each n <= n_max, confirm enumeration agrees with the number test.
-
-    "Every group of order n is cyclic" is decided two independent ways:
-    by inspecting every table of order n, and by the gcd test on n.
-    """
-    out = []
-    for n in range(1, n_max + 1):
-        classes = enumerate_groups(n, cap=cap)
-        cyclic = sum(1 for c in classes if table_is_cyclic(c))
-        out.append(
-            TheoremRow(
-                n=n,
-                group_count=len(classes),
-                cyclic_count=cyclic,
-                all_cyclic=cyclic == len(classes),
-                predicted=is_cyclic_number(n),
-            )
-        )
-    return out

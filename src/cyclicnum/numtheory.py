@@ -1,9 +1,9 @@
 """Integer arithmetic behind the cyclicity criterion.
 
 Everything here is exact and deterministic: factorization, Euler's
-totient, gcd/Bezout, the two divisibility conditions that characterize
-cyclic numbers, multiplicative orders, and a sieve for the cyclic numbers
-of a range.  Every n up to MAX_INPUT = 2**63 - 1 is supported in bounded
+totient, the two divisibility conditions that characterize cyclic
+numbers, multiplicative orders, and a sieve for the cyclic numbers of a
+range.  Every n up to MAX_INPUT = 2**63 - 1 is supported in bounded
 time.  ``is_prime`` and ``factorize`` trial-divide by the primes up to
 1000, which settles every n below 10**6; above that, primality is
 Miller-Rabin to the first 12 prime bases (deterministic below
@@ -236,23 +236,6 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    if a < 0 or b < 0:
-        raise ValueError("ext_gcd arguments must be nonnegative")
-    if a == 0 and b == 0:
-        raise ValueError("ext_gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 def is_cyclic_number(n: int) -> bool:
     """True iff gcd(n, phi(n)) = 1, i.e. every group of order n is cyclic."""
     return math.gcd(n, euler_phi(n)) == 1
@@ -261,17 +244,6 @@ def is_cyclic_number(n: int) -> bool:
 def check_conditions(n: int) -> ConditionReport:
     """Evaluate the squarefree condition and the p1 | p2 - 1 condition for n."""
     return factorize(n).conditions()
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp reduced into [0, modulus); modulus must be at least 2."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exp}")
-    if abs(base) > MAX_INPUT or exp > MAX_INPUT or modulus > MAX_INPUT:
-        raise ValueError("mod_pow argument exceeds the supported range (2**63 - 1)")
-    return pow(base, exp, modulus)
 
 
 def multiplicative_order(a: int, modulus: int) -> int:
@@ -295,8 +267,15 @@ def multiplicative_order(a: int, modulus: int) -> int:
 def element_of_order(p1: int, p2: int) -> int:
     """Smallest a in [2, p2) whose multiplicative order modulo p2 is exactly p1.
 
-    Requires p1 and p2 prime with p1 dividing p2 - 1; existence is then
-    guaranteed, and ascending search keeps the result reproducible.
+    Requires p1 and p2 prime with p1 dividing p2 - 1; such an a then
+    exists.  The elements of order p1 are b, b**2, ..., b**(p1 - 1) for
+    any b = c**((p2 - 1)/p1) other than 1, so when p1 - 1 is below
+    (p2 - 1)/(p1 - 1) the least of those p1 - 1 powers is returned.
+    Otherwise a scan upward from 2 finds it; p1 - 1 of the p2 - 2
+    candidates qualify, so the scan is expected to stop after about
+    (p2 - 1)/(p1 - 1) steps.  The cost is thus O(min(p1, (p2 - 1)/(p1 - 1)))
+    modular steps, the scan's share as an expectation, and the result is
+    the same either way.
     """
     if not is_prime(p1):
         raise ValueError(f"p1 must be prime, got {p1}")
@@ -304,6 +283,13 @@ def element_of_order(p1: int, p2: int) -> int:
         raise ValueError(f"p2 must be prime, got {p2}")
     if (p2 - 1) % p1 != 0:
         raise ValueError(f"{p1} does not divide {p2} - 1")
+    if (p1 - 1) ** 2 < p2 - 1:  # p1 - 1 < (p2 - 1)/(p1 - 1)
+        e = (p2 - 1) // p1
+        c = 2
+        while (b := pow(c, e, p2)) == 1:
+            c += 1
+        powers = itertools.accumulate(itertools.repeat(b, p1 - 1), lambda x, y: x * y % p2)
+        return min(powers)  # over b, b**2, ..., b**(p1 - 1)
     for a in range(2, p2):
         # p1 is prime, so ord(a) | p1 collapses to: a**p1 = 1 and a != 1.
         if pow(a, p1, p2) == 1:

@@ -66,13 +66,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return inverse(self)
 
-    def order(self) -> int:
-        return perm_order(self)
-
-    def support(self) -> frozenset[int]:
-        """Points actually moved."""
-        return frozenset(i for i, v in enumerate(self.images) if i != v)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 

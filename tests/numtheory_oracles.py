@@ -4,8 +4,9 @@ These are the trial-division algorithms ``cyclicnum.numtheory`` used
 before it gained a sieve, Miller-Rabin and Pollard-Brent rho: ``is_prime``
 and ``factorize`` try every candidate divisor up to the square root (about
 a minute near 10**17), ``cyclic_numbers`` factorizes each integer of the
-range on its own, and ``multiplicative_order`` multiplies until it reaches
-1.  They share no code with the library, so agreement is a real check.
+range on its own, ``multiplicative_order`` multiplies until it reaches 1,
+and ``element_of_order`` scans upward from 2 (linear in p2).  They share
+no code with the library, so agreement is a real check.
 """
 
 import math
@@ -73,3 +74,11 @@ def multiplicative_order(a, modulus):
         acc = acc * a % modulus
         k += 1
     return k
+
+
+def element_of_order(p1, p2):
+    """Smallest a in [2, p2) with a**p1 = 1 mod p2, by an upward scan (p1 prime)."""
+    for a in range(2, p2):
+        if pow(a, p1, p2) == 1:
+            return a
+    raise AssertionError(f"no element of order {p1} modulo {p2}")

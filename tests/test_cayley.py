@@ -192,7 +192,7 @@ class TestTableQueries:
 
     def test_raw_non_group_tables_rejected(self):
         # ((0, 1), (1, 1)) once sent the power loop round 1 -> 1 forever
-        for query in (table_is_cyclic, element_orders):
+        for query in (table_is_cyclic, element_orders, canonical_form):
             for bad in (((0, 1), (1, 1)), NON_ASSOCIATIVE_LOOP):
                 with pytest.raises(ValueError):
                     query(bad)

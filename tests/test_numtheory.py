@@ -1,7 +1,6 @@
 """Number-theory layer: factorization, totient, the cyclic-number test."""
 
 import math
-import random
 
 import numtheory_oracles as oracle
 import pytest
@@ -12,12 +11,10 @@ from cyclicnum import (
     cyclic_numbers,
     element_of_order,
     euler_phi,
-    ext_gcd,
     factorize,
     gcd,
     is_cyclic_number,
     is_prime,
-    mod_pow,
     multiplicative_order,
 )
 from cyclicnum.numtheory import MAX_INPUT
@@ -184,31 +181,8 @@ class TestTotientAndGcd:
         with pytest.raises(ValueError):
             gcd(-4, 6)
 
-    def test_ext_gcd_bezout_identity(self):
-        rng = random.Random(20260825)
-        for _ in range(1000):
-            a = rng.randrange(1, 10**12)
-            b = rng.randrange(1, 10**12)
-            g, x, y = ext_gcd(a, b)
-            assert g == math.gcd(a, b)
-            assert a * x + b * y == g
-
 
 class TestModArith:
-    @given(
-        st.integers(min_value=0, max_value=10**9),
-        st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=2, max_value=10**9),
-    )
-    def test_mod_pow_matches_builtin(self, base, exp, modulus):
-        assert mod_pow(base, exp, modulus) == pow(base, exp, modulus)
-
-    def test_mod_pow_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 1)
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 5)
-
     def test_multiplicative_order_examples(self):
         assert multiplicative_order(2, 7) == 3
         assert multiplicative_order(3, 7) == 6
@@ -257,6 +231,20 @@ class TestElementOfOrder:
             assert pow(a, p1, p2) == 1
             powers = {pow(a, k, p2) for k in range(p1)}
             assert len(powers) == p1  # order exactly p1, not a proper divisor
+
+    def test_matches_scan_oracle_below_2000(self):
+        # Both branches run here: the least power of b for small p1, the
+        # scan once (p1 - 1)**2 >= p2 - 1 (163 pairs, from (5, 11) to (499, 1997)).
+        primes = [p for p in range(2, 2000) if oracle.is_prime(p)]
+        pairs = [(p1, p2) for p2 in primes for p1 in primes if (p2 - 1) % p1 == 0]
+        assert len(pairs) == 832
+        for p1, p2 in pairs:
+            assert element_of_order(p1, p2) == oracle.element_of_order(p1, p2), (p1, p2)
+
+    @pytest.mark.parametrize("p1,expected", [(2, 2**61 - 2), (3, 636260618972345635)])
+    def test_large_p2_is_fast(self, p1, expected):
+        # The scan would take about 2**61 / (p1 - 1) steps here.
+        assert element_of_order(p1, 2**61 - 1) == expected
 
 
 class TestCyclicNumbers:
