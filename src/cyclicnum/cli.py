@@ -14,6 +14,7 @@ that has none), 2 for unusable input, bad files, or exceeded caps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -25,6 +26,7 @@ from .groups import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_SUBGROUP_BOUND,
     FiniteGroup,
+    all_element_orders,
     center,
     closure,
     conjugacy_class,
@@ -34,7 +36,7 @@ from .groups import (
     normalizer,
 )
 from .numtheory import cyclic_numbers, factorize, gcd
-from .perm import Permutation, perm_order
+from .perm import Permutation
 from .witness import DEGREE_CAP, WitnessCertificate, build_witness, verify_certificate
 
 SIEVE_LIMIT = 10**6
@@ -236,7 +238,7 @@ def _conjugacy_classes(G: FiniteGroup):
 
 
 def _analyze_group(G: FiniteGroup) -> dict:
-    orders = [perm_order(g) for g in G.elements]
+    orders = all_element_orders(G)
     # The first element of order |G| in canonical order, as is_cyclic returns.
     gen = next((g for g, k in zip(G.elements, orders) if k == len(G)), None)
     histogram = Counter(orders)
@@ -319,7 +321,14 @@ def cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The subcommand parser, built once per process.
+
+    Parsing does not change the parser and ``prog`` is fixed, so every
+    call to main shares it.  Each ``set_defaults(func=cmd_*)`` binds the
+    function object found at the first build.
+    """
     parser = argparse.ArgumentParser(
         prog="cyclicnum",
         description="Decide which group orders force cyclicity, and build/check witnesses.",

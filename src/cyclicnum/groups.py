@@ -5,6 +5,20 @@ permutations.  Elements are kept in a canonical order (sorted by image
 table) so group equality, subgroup identity, and conjugate-subgroup
 deduplication are plain set comparisons.
 
+Closure runs on raw image tuples: one gather per generator (see
+``perm``), one set of tuples in which each product is hashed once, and
+Permutation wrappers only for the finished, sorted element list.
+
+``all_element_orders`` gives every element its order in one pass.  For
+each h whose order is not yet known it walks h, h^2, ... with h's gather
+until the identity, k steps, and gives each power h^j the order
+k / gcd(k, j).  Each power is located by binary search in the sorted
+elements, log2 |G| tuple comparisons that stop at the first differing
+entry.  Distinct walks generate distinct cyclic subgroups, so the pass
+takes at most sum |C| steps over the cyclic subgroups C of G.  Since
+|G| = sum phi(|C|), that is at most |G| * max k/phi(k), under 5 for
+|G| <= 20000.
+
 Queries work directly on the permutations at every group size.
 Conjugacy classes and the conjugates of a subgroup are orbits under
 conjugation by the generators alone, so neither sweeps all of G, and a
@@ -15,10 +29,12 @@ entries), and it does so inside the call.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
+from math import gcd
 
 from .errors import CapacityError
-from .perm import Permutation, compose, identity, perm_order
+from .perm import Permutation, _gather, compose, identity, perm_order
 
 DEFAULT_CLOSURE_CAP = 20000
 DEFAULT_SUBGROUP_BOUND = 64
@@ -172,24 +188,39 @@ def closure(generators: Iterable[Permutation], *, max_size: int = DEFAULT_CLOSUR
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree mismatch: {g.degree} vs {degree}")
-    els = {identity(degree), *gens}
-    if len(els) > max_size:
+    images = _closed_images([g.images for g in gens], max_size)
+    return FiniteGroup(degree, gens, map(Permutation._trusted, images))
+
+
+def _closed_images(gens: list[tuple[int, ...]], max_size: int) -> list[tuple[int, ...]]:
+    """The sorted image tuples of the group the generators' tuples generate.
+
+    Each product is hashed once: set.add and a length test replace a
+    membership test followed by an insertion.  The set is freed on return,
+    so it and the caller's Permutation wrappers are never alive together.
+    """
+    steps = [_gather(g) for g in gens]
+    els = {tuple(range(len(gens[0]))), *gens}
+    size = len(els)
+    if size > max_size:
         raise CapacityError(f"group closure exceeded the cap of {max_size} elements")
+    add = els.add
     frontier = list(els)
     while frontier:
         fresh = []
         for a in frontier:
-            for g in gens:
-                c = a * g
-                if c not in els:
-                    els.add(c)
-                    if len(els) > max_size:
+            for step in steps:
+                c = step(a)
+                add(c)
+                if len(els) > size:
+                    size += 1
+                    if size > max_size:
                         raise CapacityError(
                             f"group closure exceeded the cap of {max_size} elements"
                         )
                     fresh.append(c)
         frontier = fresh
-    return FiniteGroup(degree, gens, els)
+    return sorted(els)
 
 
 def element_order(G: FiniteGroup, g: Permutation) -> int:
@@ -209,11 +240,43 @@ def generated_subgroup(G: FiniteGroup, f: Permutation) -> Subgroup:
     return Subgroup._trusted(G, powers)
 
 
+def all_element_orders(G: FiniteGroup) -> list[int]:
+    """The order of every element, indexed like G.elements, in one pass.
+
+    Walks h, h^2, ..., h^k = e only for elements h whose order is still
+    unknown and sets ord(h^j) = k / gcd(k, j) on the way (see the module
+    docstring for the bound on the steps).  A power an earlier walk
+    reached gets the same value again, since it is its true order.
+    Each power's index is found by binary search in the sorted image
+    tables, so no permutation is hashed and no index is built; powers
+    are kept as indices, not tuples, so the walk holds one permutation
+    at a time.
+    """
+    elements = G.elements
+    keys = [g.images for g in elements]  # sorted: the canonical order
+    orders = [0] * len(elements)
+    orders[0] = 1  # the identity sorts first
+    shared: dict[int, int] = {}  # one int object per distinct order, not per element
+    for i, h in enumerate(elements):
+        if orders[i]:
+            continue
+        step = _gather(h.images)
+        x = h.images
+        powers = [i]
+        while (p := bisect_left(keys, x := step(x))) != 0:
+            powers.append(p)
+        k = len(powers) + 1
+        for j, p in enumerate(powers, 1):
+            order = k // gcd(k, j)
+            orders[p] = shared.setdefault(order, order)
+    return orders
+
+
 def is_cyclic(G: FiniteGroup) -> Permutation | None:
     """A generator of G if G is cyclic (the canonically smallest one), else None."""
     n = len(G)
-    for g in G.elements:
-        if perm_order(g) == n:
+    for g, k in zip(G.elements, all_element_orders(G)):
+        if k == n:
             return g
     return None
 
@@ -284,12 +347,11 @@ def _orbit(start, steps) -> set:
 
 
 def _conjugations(G: FiniteGroup) -> list:
-    """For each generator b, the map x -> b^-1*x*b, composed in one pass."""
+    """For each generator b, the map x -> b^-1*x*b, as two gathers."""
     steps = []
     for b in G.generators:
-        def step(x, ib=b.inverse().images, bi=b.images):
-            xi = x.images
-            return Permutation._trusted(tuple([ib[xi[v]] for v in bi]))
+        def step(x, ib=b.inverse().images, after_b=_gather(b.images)):
+            return Permutation._trusted(after_b(_gather(x.images)(ib)))
         steps.append(step)
     return steps
 

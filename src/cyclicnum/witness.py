@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .errors import CapacityError
-from .groups import closure
+from .groups import all_element_orders, closure
 from .numtheory import (
     _check_positive,
     check_conditions,
@@ -30,7 +30,7 @@ from .numtheory import (
     is_prime,
     multiplicative_order,
 )
-from .perm import Permutation, cycle, perm_order
+from .perm import Permutation, cycle
 
 DEGREE_CAP = 10000
 
@@ -223,7 +223,7 @@ def verify_certificate(cert: WitnessCertificate, *, max_size: int = 20000) -> Ve
     divides |G|, the group is cyclic exactly when the largest reaches |G|.
     """
     G = closure(cert.generators, max_size=max_size)
-    max_order = max(perm_order(g) for g in G.elements)
+    max_order = max(all_element_orders(G))
     return VerificationReport(
         order_ok=len(G) == cert.n,
         noncyclic_ok=max_order < len(G),

@@ -5,14 +5,59 @@ enumeration, the order-8 oracle tables and the subgroup inventories are
 computed once per run; the
 enumeration fixture keeps its own wall-clock time for the acceptance
 budget check.
+
+Every setup, call and teardown phase runs under a PHASE_LIMIT_S alarm,
+so code that never returns fails its test instead of hanging the suite.
+The longest phase, the labeled-table fixture's setup, takes about 40 s.
 """
 
+import contextlib
+import signal
 import time
 
 import pytest
 
 import cyclicnum as cn
 from cayley_oracles import all_labeled_tables
+
+PHASE_LIMIT_S = 300
+
+
+@contextlib.contextmanager
+def _phase_limit(item, phase):
+    """Fail the phase from SIGALRM once it has run PHASE_LIMIT_S seconds."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"{item.nodeid}: {phase} ran past the {PHASE_LIMIT_S} s limit", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, PHASE_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    with _phase_limit(item, "setup"):
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    with _phase_limit(item, "call"):
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    with _phase_limit(item, "teardown"):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclicnum.cli import main
+from cyclicnum.cli import _build_parser, main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -82,6 +82,20 @@ def test_output_is_byte_identical(argv, golden, capsys, tmp_path):
         return captured.out, captured.err
 
     assert run_case(argv, paths, capture) == golden[tuple(argv)]
+
+
+def test_one_parser_serves_a_usage_error_and_the_requests_after_it(golden, capsys):
+    def capture():
+        captured = capsys.readouterr()
+        return captured.out, captured.err
+
+    assert _build_parser() is _build_parser()
+    capture()
+    assert main(["check"]) == 2
+    out, err = capture()
+    assert out == "" and "required: N" in err
+    for argv in (["check", "15"], ["verify", "12", "--json"], ["enumerate", "4"]):
+        assert run_case(argv, {}, capture) == golden[tuple(argv)]
 
 
 if __name__ == "__main__":

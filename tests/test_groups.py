@@ -415,6 +415,55 @@ class TestAgainstSweepOracles:
         self.assert_matches_oracles(G, subgroups, elements, n)
 
 
+@pytest.fixture(scope="module")
+def witness_closures():
+    """n -> (generators, the oracle's element set) for every non-cyclic
+    n <= 200 and the arrow witnesses 166 and 237, of degree above 6000."""
+    out = {}
+    for n in [n for n in range(2, 201) if not cn.is_cyclic_number(n)] + [166, 237]:
+        gens = cn.build_witness(n).generators
+        out[n] = (gens, oracle.closure(gens, 20000))
+    return out
+
+
+class TestAgainstProductOracles:
+    """Gathered products, tuple closure and the order pass against the
+    entry-by-entry compose, the Permutation-set closure and perm_order."""
+
+    def assert_orders_match(self, G, label):
+        assert cn.all_element_orders(G) == [cn.perm_order(g) for g in G.elements], label
+
+    def test_witnesses_up_to_200_and_two_above_degree_6000(self, witness_closures):
+        assert cn.build_witness(166).degree > 6000 and cn.build_witness(237).degree > 6000
+        for n, (gens, elements) in witness_closures.items():
+            G = cn.closure(gens)
+            assert len(G) == n
+            assert set(G.elements) == elements, n
+            assert list(G.elements) == sorted(elements), n
+            self.assert_orders_match(G, n)
+
+    def test_corpus_groups_and_their_subgroups(self, corpus_subgroups):
+        for name, (G, subgroups) in corpus_subgroups.items():
+            assert set(cn.closure(G.generators).elements) == oracle.closure(G.generators, len(G)), name
+            self.assert_orders_match(G, name)
+            for H in subgroups:
+                K = cn.closure(H.elements)
+                assert set(K.elements) == oracle.closure(H.elements, len(H)) == H._elem_set, name
+                self.assert_orders_match(K, name)
+
+    def test_degree_one(self):
+        G = cn.closure([identity(1)])
+        assert set(G.elements) == oracle.closure([identity(1)], 1) == {identity(1)}
+        assert cn.all_element_orders(G) == [1]
+        assert cn.is_cyclic(G) == identity(1)
+
+    def test_cap_is_exact(self, witness_closures):
+        for n, (gens, _) in witness_closures.items():
+            assert len(cn.closure(gens, max_size=n)) == n
+            with pytest.raises(CapacityError):
+                cn.closure(gens, max_size=n - 1)
+
+
 class TestProofArithmetic:
     def test_power_rule_for_commuting_elements(self, z6, q8):
         g = cn.is_cyclic(z6)

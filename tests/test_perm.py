@@ -3,6 +3,7 @@
 import math
 import random
 
+import group_oracles as oracle
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +29,10 @@ same_degree_perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda d: st.tuples(
         st.permutations(range(d)), st.permutations(range(d)), st.permutations(range(d))
     )
+)
+
+perm_pairs_up_to_64 = st.integers(min_value=1, max_value=64).flatmap(
+    lambda d: st.tuples(st.permutations(range(d)), st.permutations(range(d)))
 )
 
 
@@ -72,6 +77,13 @@ class TestCompose:
         assert (f * g) * h == f * (g * h)
         assert f * e == f and e * f == f
         assert f * inverse(f) == e and inverse(f) * f == e
+
+    @given(perm_pairs_up_to_64)
+    def test_matches_entrywise_oracle(self, pair):
+        f, g = (Permutation(t) for t in pair)
+        h = compose(f, g)
+        assert h == oracle.compose(f, g)
+        assert type(h.images) is tuple and len(h.images) == f.degree
 
     def test_powers(self):
         f = Permutation([1, 2, 3, 0])

@@ -13,8 +13,9 @@ import cyclicnum.cayley as cayley
 import cyclicnum.cli as cli
 import cyclicnum.groups as groups
 import cyclicnum.numtheory as numtheory
+import cyclicnum.perm as perm
 import cyclicnum.witness as witness
-from cyclicnum import build_witness, enumerate_groups, verify_certificate
+from cyclicnum import build_witness, closure, enumerate_groups, generated_subgroup, verify_certificate
 
 
 def count_calls(monkeypatch, name, *modules):
@@ -44,10 +45,27 @@ def test_check_factorizes_once(monkeypatch, capsys, n, flags):
 @pytest.mark.parametrize("n", [4, 6, 18, 100])
 def test_verify_computes_each_element_order_once(monkeypatch, n):
     cert = build_witness(n)
-    calls = count_calls(monkeypatch, "perm_order", witness, groups)
+    passes = count_calls(monkeypatch, "all_element_orders", witness, groups)
+    singles = count_calls(monkeypatch, "perm_order", perm, groups)
     report = verify_certificate(cert)
-    assert report.passed
-    assert len(calls) == report.group_size == n
+    assert report.passed and report.group_size == n
+    assert len(passes) == 1
+    assert singles == []
+
+
+@pytest.mark.parametrize("n", [12, 54, 100, 128])
+def test_order_pass_walks_only_elements_no_earlier_walk_reached(monkeypatch, n):
+    G = closure(build_witness(n).generators)
+    # The identity's order is known, so walking starts at elements[1].
+    reached = {G.elements[0]}
+    expected = 0
+    for g in G.elements:
+        if g not in reached:
+            expected += 1
+            reached |= generated_subgroup(G, g)._elem_set
+    walks = count_calls(monkeypatch, "_gather", groups)
+    groups.all_element_orders(G)
+    assert len(walks) == expected < n - 1
 
 
 def write_witness(tmp_path, n):
@@ -59,10 +77,12 @@ def write_witness(tmp_path, n):
 @pytest.mark.parametrize("n", [6, 54, 128])
 def test_analyze_computes_each_element_order_once(monkeypatch, capsys, tmp_path, n):
     path = write_witness(tmp_path, n)
-    calls = count_calls(monkeypatch, "perm_order", cli, groups)
+    passes = count_calls(monkeypatch, "all_element_orders", cli, groups)
+    singles = count_calls(monkeypatch, "perm_order", perm, groups)
     assert cli.main(["analyze", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == n
-    assert len(calls) == n
+    assert len(passes) == 1
+    assert singles == []
 
 
 @pytest.mark.parametrize("n", [6, 54])
