@@ -5,9 +5,19 @@ permutations.  Elements are kept in a canonical order (sorted by image
 table) so group equality, subgroup identity, and conjugate-subgroup
 deduplication are plain set comparisons.
 
-Closure runs on raw image tuples: one gather per generator (see
-``perm``), one set of tuples in which each product is hashed once, and
-Permutation wrappers only for the finished, sorted element list.
+Closure is Dimino's algorithm (Butler, *Fundamental Algorithms for
+Permutation Groups*, LNCS 559, 1991; Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005) on raw image tuples, with the gathers
+of ``perm`` as products.  It starts from the longest cyclic subgroup
+<g> over the generators, found by walking each generator's powers until
+the identity.  Each further generator g outside the group H built so far
+grows H to <H, g> as a union of right cosets H*x: the coset H*g first,
+then H*(r*s) for every coset representative r and generator s used so
+far whose product r*s is not yet in the set.  Distinct right cosets are
+disjoint, so a coset goes into the set with no membership test: each
+element costs one product and one hash, and each representative r one
+product and one membership test per generator.  Permutation wrappers are
+made only for the finished, sorted element list.
 
 ``all_element_orders`` gives every element its order in one pass.  For
 each h whose order is not yet known it walks h, h^2, ... with h's gather
@@ -31,6 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
+from functools import cached_property
 from math import gcd
 
 from .errors import CapacityError
@@ -82,7 +93,12 @@ class FiniteGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(sorted(elements))
-        self._elem_set = frozenset(self.elements)
+
+    @cached_property
+    def _elem_set(self) -> frozenset[Permutation]:
+        # Built on first use: verify never tests membership, and each
+        # Permutation hash reads its whole image tuple.
+        return frozenset(self.elements)
 
     @property
     def order(self) -> int:
@@ -176,10 +192,14 @@ def _require_subgroup_of(G: FiniteGroup, F: Subgroup) -> None:
 
 
 def closure(generators: Iterable[Permutation], *, max_size: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    """Smallest group containing the generators, by breadth-first products.
+    """Smallest group containing the generators, by Dimino's algorithm.
 
-    Raises CapacityError once more than max_size elements appear, so
-    runaway inputs fail cleanly instead of exhausting memory.
+    Grows the longest cyclic subgroup of a generator by one generator at
+    a time, each stage a union of right cosets of the group before it
+    (see the module docstring), so every element is built by one product
+    and hashed once.  Raises CapacityError, saying how many elements were
+    built, before the count would pass max_size, so runaway inputs fail
+    cleanly instead of exhausting memory.
     """
     gens = tuple(generators)
     if not gens:
@@ -195,31 +215,58 @@ def closure(generators: Iterable[Permutation], *, max_size: int = DEFAULT_CLOSUR
 def _closed_images(gens: list[tuple[int, ...]], max_size: int) -> list[tuple[int, ...]]:
     """The sorted image tuples of the group the generators' tuples generate.
 
-    Each product is hashed once: set.add and a length test replace a
-    membership test followed by an insertion.  The set is freed on return,
-    so it and the caller's Permutation wrappers are never alive together.
+    The set is freed on return, so it and the caller's Permutation
+    wrappers are never alive together.
     """
-    steps = [_gather(g) for g in gens]
-    els = {tuple(range(len(gens[0]))), *gens}
-    size = len(els)
-    if size > max_size:
-        raise CapacityError(f"group closure exceeded the cap of {max_size} elements")
-    add = els.add
-    frontier = list(els)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for step in steps:
-                c = step(a)
-                add(c)
-                if len(els) > size:
-                    size += 1
-                    if size > max_size:
-                        raise CapacityError(
-                            f"group closure exceeded the cap of {max_size} elements"
-                        )
-                    fresh.append(c)
-        frontier = fresh
+    e = tuple(range(len(gens[0])))
+
+    def over(built: int) -> CapacityError:
+        return CapacityError(
+            f"group closure exceeded the cap of {max_size} elements "
+            f"({built} built, degree {len(e)})"
+        )
+
+    if max_size < 1:
+        raise over(0)
+    # The longest walk g, g^2, ... back to the identity is the first stage.
+    longest, first = [e], e
+    for g in gens:
+        step = _gather(g)
+        walk = [e]
+        x = g
+        while x != e:
+            if len(walk) == max_size:
+                raise over(max_size)
+            walk.append(x)
+            x = step(x)
+        if len(walk) > len(longest):
+            longest, first = walk, g
+    els = set(longest)
+    del longest
+
+    def add_coset(x: tuple[int, ...], H: list[tuple[int, ...]]) -> None:
+        # H*x is a right coset outside the set, so disjoint from it.
+        if len(els) + len(H) > max_size:
+            raise over(len(els))
+        els.update(map(_gather(x), H))
+
+    used = [_gather(first)]
+    # Each generator g outside the set grows H, the set so far, to a union
+    # of right cosets: H*g, then H*x for each new x = r*s, where r runs
+    # over the representatives breadth first and s over the generators used.
+    for g in gens:
+        if g in els:
+            continue
+        used.append(_gather(g))
+        H = list(els)
+        add_coset(g, H)
+        reps = [g]
+        for r in reps:  # grows while it is read
+            for step in used:
+                x = step(r)
+                if x not in els:
+                    add_coset(x, H)
+                    reps.append(x)
     return sorted(els)
 
 

@@ -132,6 +132,13 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", "15")
         assert rc == 1 and "cyclic number" in err
 
+    def test_closure_cap_says_how_far_it_got(self, capsys):
+        # The witness of 100 is a 2-cycle and a 50-cycle on 52 points:
+        # the 50-cycle's powers fit under 60, its coset by the 2-cycle does not.
+        rc, out, err = run(capsys, "verify", "100", "--max-order", "60")
+        assert rc == 2 and out == ""
+        assert "group closure exceeded the cap of 60 elements (50 built, degree 52)" in err
+
     def test_tampered_certificate_fails_mathematically(self, capsys, tmp_path):
         path = tmp_path / "w6.json"
         run(capsys, "witness", "6", "--out", str(path))

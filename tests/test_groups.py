@@ -50,8 +50,13 @@ class TestClosure:
             assert G.elements[0] == identity(G.degree)
 
     def test_cap_exceeded(self):
-        with pytest.raises(CapacityError):
-            cn.closure([cycle(range(12), 12)], max_size=5)
+        # A generator of order above the cap stops its own walk of powers.
+        long_cycle = cycle(range(12), 12)
+        for gens in ([long_cycle], [cycle([0, 1], 12), long_cycle]):
+            with pytest.raises(CapacityError, match=r"cap of 5 elements \(5 built, degree 12\)"):
+                cn.closure(gens, max_size=5)
+        with pytest.raises(CapacityError, match=r"\(0 built, degree 3\)"):
+            cn.closure([identity(3)], max_size=0)
 
     def test_rejects_empty_or_mixed_degrees(self):
         with pytest.raises(ValueError):
@@ -62,6 +67,18 @@ class TestClosure:
     def test_group_equality_ignores_generating_set(self, s3):
         again = cn.closure([cycle([0, 2], 3), cycle([0, 1], 3)])
         assert again == s3
+
+    def test_element_set_is_built_on_first_use(self):
+        gens = cn.build_witness(54).generators
+        G = cn.closure(gens)
+        cn.all_element_orders(G)
+        assert "_elem_set" not in vars(G)
+        built = cn.closure(gens)
+        assert built.elements[-1] in built and "_elem_set" in vars(built)
+        assert all(g in G for g in built.elements)
+        assert identity(G.degree + 1) not in G
+        assert G == built and hash(G) == hash(built)
+        assert G != cn.closure(gens[:1])
 
 
 class TestElementOrder:
@@ -426,8 +443,34 @@ def witness_closures():
     return out
 
 
+def stage_sizes(gens):
+    """|H| after each stage of Dimino's closure, from the oracle: the
+    longest cyclic subgroup of a generator (the first one of that
+    order), then one more generator outside H at a time."""
+    first = max(gens, key=cn.perm_order)
+    used = [first]
+    H = oracle.closure(used, 20000)
+    sizes = [len(H)]
+    for g in gens:
+        if g not in H:
+            used.append(g)
+            H = oracle.closure(used, 20000)
+            sizes.append(len(H))
+    return sizes
+
+
+def built_before_cap(sizes, max_size):
+    """Elements closure holds when it stops at max_size < |G|: a walk
+    stops at max_size, and a later stage adds whole cosets of the stage
+    before it, of size |H|, while they fit."""
+    if max_size < sizes[0]:
+        return max_size
+    h = max(size for size in sizes if size <= max_size)
+    return max_size // h * h
+
+
 class TestAgainstProductOracles:
-    """Gathered products, tuple closure and the order pass against the
+    """Gathered products, Dimino's closure and the order pass against the
     entry-by-entry compose, the Permutation-set closure and perm_order."""
 
     def assert_orders_match(self, G, label):
@@ -441,6 +484,33 @@ class TestAgainstProductOracles:
             assert set(G.elements) == elements, n
             assert list(G.elements) == sorted(elements), n
             self.assert_orders_match(G, n)
+            for order in itertools.permutations(gens):
+                assert set(cn.closure(order).elements) == elements, (n, order)
+
+    @pytest.mark.parametrize("n", [2310, 19995])
+    def test_every_generator_order_of_three_generator_witnesses(self, n):
+        # 19995: p1 = 3, p2 = 31 and a 215-cycle, degree 1176, near the cap.
+        gens = cn.build_witness(n).generators
+        assert len(gens) == 3
+        expected = sorted(oracle.closure(gens, 20000))
+        assert len(expected) == n
+        for order in itertools.permutations(gens):
+            assert list(cn.closure(order).elements) == expected, order
+
+    def test_identity_duplicate_and_product_generators(self, witness_closures):
+        for n, (gens, elements) in witness_closures.items():
+            e = identity(gens[0].degree)
+            for redundant in (
+                [e, *gens],
+                [*gens, e],
+                [gens[-1], *gens, gens[0]],
+                [*gens, gens[0] * gens[-1]],
+                [gens[-1] * gens[0], *gens],
+            ):
+                G = cn.closure(redundant)
+                assert set(G.elements) == elements, (n, redundant)
+                assert G.generators == tuple(redundant)
+        assert len(cn.closure([identity(5), identity(5)])) == 1
 
     def test_corpus_groups_and_their_subgroups(self, corpus_subgroups):
         for name, (G, subgroups) in corpus_subgroups.items():
@@ -450,6 +520,7 @@ class TestAgainstProductOracles:
                 K = cn.closure(H.elements)
                 assert set(K.elements) == oracle.closure(H.elements, len(H)) == H._elem_set, name
                 self.assert_orders_match(K, name)
+                assert cn.closure(H.elements[::-1]) == K, name
 
     def test_degree_one(self):
         G = cn.closure([identity(1)])
@@ -458,10 +529,20 @@ class TestAgainstProductOracles:
         assert cn.is_cyclic(G) == identity(1)
 
     def test_cap_is_exact(self, witness_closures):
+        # At, just below and just above the size of each Dimino stage.
         for n, (gens, _) in witness_closures.items():
-            assert len(cn.closure(gens, max_size=n)) == n
-            with pytest.raises(CapacityError):
-                cn.closure(gens, max_size=n - 1)
+            sizes = stage_sizes(gens)
+            assert sizes[-1] == n
+            for size in sizes:
+                for max_size in (size - 1, size, size + 1):
+                    if max_size >= n:
+                        assert len(cn.closure(gens, max_size=max_size)) == n
+                        continue
+                    built = built_before_cap(sizes, max_size)
+                    with pytest.raises(CapacityError) as info:
+                        cn.closure(gens, max_size=max_size)
+                    message = f"cap of {max_size} elements ({built} built, degree {gens[0].degree})"
+                    assert message in str(info.value), (n, max_size)
 
 
 class TestProofArithmetic:

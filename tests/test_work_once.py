@@ -68,6 +68,44 @@ def test_order_pass_walks_only_elements_no_earlier_walk_reached(monkeypatch, n):
     assert len(walks) == expected < n - 1
 
 
+def count_products(monkeypatch):
+    """Make each map groups._gather returns count its calls; return the count list."""
+    calls = []
+    real = groups._gather
+
+    def gather(images):
+        step = real(images)
+
+        def counted(x):
+            calls.append(None)
+            return step(x)
+
+        return counted
+
+    monkeypatch.setattr(groups, "_gather", gather)
+    return calls
+
+
+def test_closure_takes_under_1_6_products_per_element_up_to_200(monkeypatch):
+    # Breadth-first closure took one product per element and generator.
+    products = count_products(monkeypatch)
+    for n in range(2, 201):
+        cert = build_witness(n)
+        if cert is None:
+            continue
+        products.clear()
+        assert len(closure(cert.generators)) == n
+        assert len(products) < 1.6 * n, n
+
+
+@pytest.mark.parametrize("n", [1432, 2310])
+def test_closure_takes_one_product_per_element_on_large_witnesses(monkeypatch, n):
+    gens = build_witness(n).generators
+    products = count_products(monkeypatch)
+    assert len(closure(gens)) == n
+    assert len(products) < 1.01 * n
+
+
 def write_witness(tmp_path, n):
     path = tmp_path / f"w{n}.json"
     assert cli.main(["witness", str(n), "--out", str(path)]) == 0
