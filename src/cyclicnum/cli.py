@@ -199,7 +199,7 @@ def cmd_verify(args) -> int:
     target = args.target
     if target.isdigit():
         n = int(target)
-        cert = build_witness(n, max_degree=DEGREE_CAP)
+        cert = build_witness(n)
         if cert is None:
             print(f"{n} is a cyclic number; there is no witness to verify", file=sys.stderr)
             return 1
@@ -335,11 +335,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, out=True, as_json=True):
+    def add_common(p, *, as_json=True):
         if as_json:
             p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-        if out:
-            p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+        p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
     p = sub.add_parser("check", help="is every group of order N cyclic?")
     p.add_argument("n", type=int, metavar="N")

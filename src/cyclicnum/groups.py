@@ -34,54 +34,49 @@ Conjugacy classes and the conjugates of a subgroup are orbits under
 conjugation by the generators alone, so neither sweeps all of G, and a
 normalizer tests one element per coset.  Only the subgroup lattice,
 capped at order 64, builds an index multiplication table (|G|^2
-entries), and it does so inside the call.
+entries), inside the call and with one gather per element: the gather
+of b maps every element's image tuple to that of its product with b.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from functools import cached_property
 from math import gcd
 
 from .errors import CapacityError
-from .perm import Permutation, _gather, compose, identity, perm_order
+from .perm import Permutation, _gather, perm_order
 
 DEFAULT_CLOSURE_CAP = 20000
 DEFAULT_SUBGROUP_BOUND = 64
 
 
-class _IndexTable:
-    """Multiplication table over the canonical element order."""
+class _ElementSet:
+    """A sorted tuple of permutations, shared by groups and subgroups.
 
-    __slots__ = ("elems", "mul", "e")
+    The frozenset of the elements is built on first use: verify never
+    tests membership, and each Permutation hash reads its whole image
+    tuple.
+    """
 
-    def __init__(self, elements: Sequence[Permutation]):
-        self.elems = list(elements)
-        index = {g: i for i, g in enumerate(self.elems)}
-        self.mul = [[index[compose(a, b)] for b in self.elems] for a in self.elems]
-        self.e = index[identity(self.elems[0].degree)]
+    elements: tuple[Permutation, ...]
 
-    def close(self, seed: Iterable[int]) -> frozenset[int]:
-        """Subgroup of indices generated by the seed indices."""
-        gens = list(seed)
-        mul = self.mul
-        els = {self.e, *gens}
-        frontier = list(els)
-        while frontier:
-            fresh = []
-            for a in frontier:
-                row = mul[a]
-                for g in gens:
-                    c = row[g]
-                    if c not in els:
-                        els.add(c)
-                        fresh.append(c)
-            frontier = fresh
-        return frozenset(els)
+    @cached_property
+    def _elem_set(self) -> frozenset[Permutation]:
+        return frozenset(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __contains__(self, g: object) -> bool:
+        return g in self._elem_set
 
 
-class FiniteGroup:
+class FiniteGroup(_ElementSet):
     """A closed set of equal-degree permutations plus its generating set.
 
     Construct with closure(); the constructor itself trusts its inputs.
@@ -93,25 +88,6 @@ class FiniteGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(sorted(elements))
-
-    @cached_property
-    def _elem_set(self) -> frozenset[Permutation]:
-        # Built on first use: verify never tests membership, and each
-        # Permutation hash reads its whole image tuple.
-        return frozenset(self.elements)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, g: object) -> bool:
-        return g in self._elem_set
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -127,7 +103,7 @@ class FiniteGroup:
         return f"<FiniteGroup of order {len(self.elements)} on {self.degree} points>"
 
 
-class Subgroup:
+class Subgroup(_ElementSet):
     """A subset of a parent group's elements that is itself a group.
 
     The public constructor verifies closure; engine functions that produce
@@ -155,17 +131,7 @@ class Subgroup:
         sub = object.__new__(cls)
         sub.parent = parent
         sub.elements = tuple(sorted(elements))
-        sub._elem_set = frozenset(sub.elements)
         return sub
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, g: object) -> bool:
-        return g in self._elem_set
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -276,15 +242,9 @@ def element_order(G: FiniteGroup, g: Permutation) -> int:
 
 
 def generated_subgroup(G: FiniteGroup, f: Permutation) -> Subgroup:
-    """The cyclic subgroup of all powers of f."""
+    """The cyclic subgroup of all powers of f, from closure's walk."""
     _require_member(G, f)
-    e = identity(G.degree)
-    powers = [e]
-    x = f
-    while x != e:
-        powers.append(x)
-        x = x * f
-    return Subgroup._trusted(G, powers)
+    return Subgroup._trusted(G, map(Permutation._trusted, _closed_images([f.images], len(G))))
 
 
 def all_element_orders(G: FiniteGroup) -> list[int]:
@@ -467,54 +427,66 @@ def conjugate_only_to_powers(G: FiniteGroup, f: Permutation) -> bool:
     return conjugacy_class(G, f) <= generated_subgroup(G, f)._elem_set
 
 
-def all_subgroups(G: FiniteGroup, *, max_order: int = DEFAULT_SUBGROUP_BOUND) -> list[Subgroup]:
-    """Every subgroup of G, for groups of order up to max_order.
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup of G, for groups of order up to DEFAULT_SUBGROUP_BOUND (64).
 
-    Seeds with the cyclic subgroups and saturates under pairwise join;
-    every subgroup is a join of cyclic ones, so the sweep is exhaustive.
-    Results are sorted by (order, element list).
+    Seeds with the cyclic subgroups and saturates under pairwise join
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+    2005); every subgroup is a join of cyclic ones, so the sweep is
+    exhaustive.  Works on indices into G.elements, with an index table
+    built by one gather per element.  Results are sorted by (order,
+    element list).
     """
-    if len(G) > max_order:
+    if len(G) > DEFAULT_SUBGROUP_BOUND:
         raise CapacityError(
-            f"subgroup enumeration is limited to groups of order {max_order}"
+            f"subgroup enumeration is limited to groups of order {DEFAULT_SUBGROUP_BOUND}"
         )
-    table = _IndexTable(G.elements)
-    mul = table.mul
-    e = table.e
-    seeds: set[frozenset[int]] = set()
-    for i in range(len(table.elems)):
-        powers = {e}
-        x = i
-        while x != e:
-            powers.add(x)
-            x = mul[x][i]
-        seeds.add(frozenset(powers))
-    known = set(seeds)
-    work = list(seeds)
+    keys = [g.images for g in G.elements]
+    index = {x: i for i, x in enumerate(keys)}
+    # right[b][a] is the index of a*b; the identity is index 0.
+    right = [[index[x] for x in map(_gather(b), keys)] for b in keys]
+
+    def close(seed: Collection[int]) -> frozenset[int]:
+        """Subgroup of indices generated by the seed indices."""
+        steps = [right[b] for b in seed]
+        els = {0, *seed}
+        frontier = list(els)
+        while frontier:
+            fresh = []
+            for a in frontier:
+                for step in steps:
+                    c = step[a]
+                    if c not in els:
+                        els.add(c)
+                        fresh.append(c)
+            frontier = fresh
+        return frozenset(els)
+
+    known = {close([i]) for i in range(len(keys))}
+    work = list(known)
     while work:
         a = work.pop()
         for b in list(known):
             if a <= b or b <= a:
                 continue
-            joined = table.close(a | b)
+            joined = close(a | b)
             if joined not in known:
                 known.add(joined)
                 work.append(joined)
-    subs = [
-        Subgroup._trusted(G, (table.elems[i] for i in idxs)) for idxs in known
-    ]
+    elements = G.elements
+    subs = [Subgroup._trusted(G, (elements[i] for i in idxs)) for idxs in known]
     subs.sort(key=lambda H: (len(H), H.elements))
     return subs
 
 
-def maximal_subgroups(G: FiniteGroup, *, max_order: int = DEFAULT_SUBGROUP_BOUND) -> list[Subgroup]:
+def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Proper subgroups with more than one element, maximal by inclusion.
 
     Note the "more than one element" clause: a group of prime order has no
     maximal subgroups under this definition, since its only proper
     subgroup is trivial.
     """
-    proper = [H for H in all_subgroups(G, max_order=max_order) if 1 < len(H) < len(G)]
+    proper = [H for H in all_subgroups(G) if 1 < len(H) < len(G)]
     return [
         H
         for H in proper

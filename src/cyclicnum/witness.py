@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .errors import CapacityError
-from .groups import all_element_orders, closure
+from .groups import DEFAULT_CLOSURE_CAP, all_element_orders, closure
 from .numtheory import (
     _check_positive,
     check_conditions,
@@ -215,7 +215,7 @@ def build_witness(n: int, *, max_degree: int = DEGREE_CAP) -> WitnessCertificate
     return None
 
 
-def verify_certificate(cert: WitnessCertificate, *, max_size: int = 20000) -> VerificationReport:
+def verify_certificate(cert: WitnessCertificate, *, max_size: int = DEFAULT_CLOSURE_CAP) -> VerificationReport:
     """Recompute the group from the certificate's generators and re-check it.
 
     Nothing is taken on faith: the closure is rebuilt and its size compared

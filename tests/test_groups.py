@@ -79,6 +79,9 @@ class TestClosure:
         assert identity(G.degree + 1) not in G
         assert G == built and hash(G) == hash(built)
         assert G != cn.closure(gens[:1])
+        H = cn.generated_subgroup(G, gens[0])
+        assert "_elem_set" not in vars(H)
+        assert gens[0] in H and "_elem_set" in vars(H)
 
 
 class TestElementOrder:
@@ -107,9 +110,15 @@ class TestGeneratedSubgroupAndCyclicity:
         H = cn.generated_subgroup(s3, cycle([0, 1, 2], 3))
         assert len(H) == 3
 
-    def test_size_equals_element_order(self, d4):
-        for g in d4:
-            assert len(cn.generated_subgroup(d4, g)) == cn.element_order(d4, g)
+    def test_size_equals_element_order(self, d4, q8, w30):
+        # The n = 38 witness acts on 19^2 points.
+        w38 = cn.closure(cn.build_witness(38).generators)
+        assert w38.degree == 361
+        for G in (d4, q8, w30, w38):
+            for g in G:
+                H = cn.generated_subgroup(G, g)
+                assert len(H) == cn.element_order(G, g)
+                assert set(H.elements) == oracle.closure([g], len(G)), (len(G), g)
 
     def test_cyclic_detection(self, z6, s3, klein):
         g = cn.is_cyclic(z6)
@@ -287,6 +296,16 @@ class TestSubgroupEnumeration:
     def test_klein_and_z6_inventories(self, klein, z6):
         assert subgroup_sizes(klein) == [1, 2, 2, 2, 4]
         assert subgroup_sizes(z6) == [1, 2, 3, 6]
+
+    def test_every_group_of_order_up_to_8(self, oracle_pack):
+        # Subgroup counts of the isomorphism classes of each order, from group
+        # theory: Z4, V4; Z6, S3; Z8, Q8, Z4 x Z2, D4, Z2^3.  Z2^3 is a
+        # subgroup of itself that needs three generators.
+        expected = {1: [1], 2: [2], 3: [2], 4: [3, 5], 5: [2], 6: [4, 6], 7: [2], 8: [4, 6, 8, 10, 16]}
+        classes, _ = oracle_pack
+        for n, tables in classes.items():
+            counts = sorted(len(cn.all_subgroups(cn.regular_representation(t))) for t in tables)
+            assert counts == expected[n], n
 
     def test_subgroups_revalidate_publicly(self, d4):
         for H in cn.all_subgroups(d4):
