@@ -37,11 +37,7 @@ Table = tuple[tuple[int, ...], ...]
 
 def _group_rows(t: "CayleyTable | Table") -> Table:
     """The rows of t, validated first unless t is an already checked CayleyTable."""
-    if isinstance(t, CayleyTable):
-        return t.table
-    table = tuple(tuple(row) for row in t)
-    validate_table(table)
-    return table
+    return (t if isinstance(t, CayleyTable) else CayleyTable(t)).table
 
 
 def validate_table(table: Table) -> None:

@@ -60,13 +60,12 @@ def certificate_from_dict(data: dict) -> WitnessCertificate:
     if not isinstance(data, dict):
         raise ValueError("certificate file must contain a JSON object")
     try:
-        gens = tuple(Permutation(images) for images in data["generators"])
         return WitnessCertificate(
             n=data["n"],
             reason=data["reason"],
             params=dict(data["params"]),
             degree=data["degree"],
-            generators=gens,
+            generators=_read_generators(data["generators"]),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"certificate file is missing or mistypes a field: {exc}") from exc
@@ -85,8 +84,15 @@ def load_json_file(path: str) -> dict:
     return data
 
 
-def load_generators(data: dict) -> tuple[int, tuple[Permutation, ...]]:
-    """Degree and generators from any object with those two fields.
+def _read_generators(raw) -> tuple[Permutation, ...]:
+    """Permutations from the JSON value of a 'generators' field."""
+    if not isinstance(raw, list) or not raw or not all(isinstance(images, list) for images in raw):
+        raise ValueError("'generators' must be a non-empty list of image lists")
+    return tuple(Permutation(images) for images in raw)
+
+
+def load_generators(data: dict) -> tuple[Permutation, ...]:
+    """Generators of the stated degree from any object with those two fields.
 
     Accepts both plain group files and witness certificates, which share
     the keys that matter here.
@@ -98,13 +104,11 @@ def load_generators(data: dict) -> tuple[int, tuple[Permutation, ...]]:
         raise ValueError(f"missing field {exc} (need 'degree' and 'generators')") from exc
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise ValueError("'degree' must be a positive integer")
-    if not isinstance(raw, list) or not raw or not all(isinstance(images, list) for images in raw):
-        raise ValueError("'generators' must be a non-empty list of image lists")
-    gens = tuple(Permutation(images) for images in raw)
+    gens = _read_generators(raw)
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator of degree {g.degree} does not match degree {degree}")
-    return degree, gens
+    return gens
 
 
 def _dump_json(obj) -> str:
@@ -268,7 +272,7 @@ def _analyze_group(G: FiniteGroup) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    _, gens = load_generators(load_json_file(args.path))
+    gens = load_generators(load_json_file(args.path))
     G = closure(gens, max_size=args.max_order)
     info = _analyze_group(G)
     lines = [

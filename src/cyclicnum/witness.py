@@ -12,8 +12,10 @@ For any n that fails the cyclic-number test there is a concrete witness:
   p1*p2; a trailing cycle of length n/(p1*p2) pads the order up to n.
 
 A certificate records n, which construction was used, its parameters and
-the generators.  Verification recomputes the closure from the generators
-alone and checks the order and non-cyclicity claims from scratch.
+the generators.  Parsing one runs the same construction checks as building
+one; only the builders' degree cap is left out.  Verification recomputes
+the closure from the generators alone and checks the order and
+non-cyclicity claims from scratch.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from typing import Literal
 
 from .errors import CapacityError
 from .groups import DEFAULT_CLOSURE_CAP, all_element_orders, closure
-from .numtheory import (
-    _check_positive,
-    check_conditions,
-    element_of_order,
-    is_prime,
-    multiplicative_order,
-)
+from .numtheory import _check_positive, check_conditions, element_of_order, is_prime
 from .perm import Permutation, cycle
 
 DEGREE_CAP = 10000
@@ -37,23 +33,27 @@ DEGREE_CAP = 10000
 Reason = Literal["square", "arrow"]
 
 
-# Both validators test primality last: once the degree formula holds, each
-# prime is below the degree, which the generators' image lists spell out.
+# Each construction fact has one check below; the builders, affine_map and
+# WitnessCertificate all call it.  Types come first, then divisibility, then
+# primality: a parameter above n fails a remainder test, so is_prime only
+# ever sees parameters up to n.
 
-def _validate_square_params(n: int, params: dict, degree: int) -> None:
-    p = params.get("p")
+def _square_degree(n: int, p) -> int:
+    """Degree p + n/p of the square witness; p must be a prime with p^2 | n."""
     if not isinstance(p, int) or p < 2:
         raise ValueError("square witness needs a prime parameter p")
     if n % (p * p) != 0:
         raise ValueError(f"p^2 = {p * p} does not divide n = {n}")
-    if degree != p + n // p:
-        raise ValueError(f"square witness of n = {n}, p = {p} must have degree {p + n // p}")
     if not is_prime(p):
         raise ValueError("square witness needs a prime parameter p")
+    return p + n // p
 
 
-def _validate_arrow_params(n: int, params: dict, degree: int) -> None:
-    p1, p2, a = params.get("p1"), params.get("p2"), params.get("a")
+def _arrow_degree(n: int, p1, p2) -> int:
+    """Degree p2*p2, plus n/(p1*p2) when that is above 1, of the arrow witness.
+
+    p1 and p2 must be primes with p1 | p2 - 1 and p1*p2 | n.
+    """
     for name, value in (("p1", p1), ("p2", p2)):
         if not isinstance(value, int) or value < 2:
             raise ValueError(f"arrow witness needs a prime parameter {name}")
@@ -61,14 +61,16 @@ def _validate_arrow_params(n: int, params: dict, degree: int) -> None:
         raise ValueError(f"p1 = {p1} does not divide p2 - 1 = {p2 - 1}")
     if n % (p1 * p2) != 0:
         raise ValueError(f"p1*p2 = {p1 * p2} does not divide n = {n}")
-    m = n // (p1 * p2)
-    expected = p2 * p2 + (m if m > 1 else 0)
-    if degree != expected:
-        raise ValueError(f"arrow witness of n = {n} must have degree {expected}")
     for name, value in (("p1", p1), ("p2", p2)):
         if not is_prime(value):
             raise ValueError(f"arrow witness needs a prime parameter {name}")
-    # With p1 and p2 prime and a != 1, a^p1 = 1 means a has order exactly p1.
+    m = n // (p1 * p2)
+    return p2 * p2 + (m if m > 1 else 0)
+
+
+def _check_multiplier(p1: int, p2: int, a) -> None:
+    """Raise unless a has multiplicative order p1 mod p2, for primes p1 | p2 - 1."""
+    # With p1 prime and a != 1, a^p1 = 1 means a has order exactly p1.
     if not isinstance(a, int) or not 1 < a < p2 or pow(a, p1, p2) != 1:
         raise ValueError(f"parameter a must have multiplicative order {p1} mod {p2}")
 
@@ -78,10 +80,11 @@ class WitnessCertificate:
     """Claim that a specific generated group is non-cyclic of order n.
 
     Field types (``n`` and ``degree`` are ints, not floats or bools), the
-    generator degrees and construction arithmetic (divisibility, the degree
-    formula, primality, the order of a) are checked eagerly and in that
-    order, so a certificate that parses is at least internally consistent,
-    and no check costs more than the size of its generators allows.
+    generator degrees and the construction arithmetic are checked eagerly,
+    in that order, by the same checks the builders use: divisibility,
+    primality, the degree formula, then the order of a.  So a certificate
+    that parses is at least internally consistent, and since divisibility
+    comes first, primality is only ever tested on numbers up to n.
     Whether the generators really produce a non-cyclic group of order n is
     deliberately left to verify_certificate.
     """
@@ -103,12 +106,17 @@ class WitnessCertificate:
         for g in self.generators:
             if g.degree != self.degree:
                 raise ValueError("generator degree does not match the certificate degree")
+        params = self.params
         if self.reason == "square":
-            _validate_square_params(self.n, self.params, self.degree)
+            expected = _square_degree(self.n, params.get("p"))
         elif self.reason == "arrow":
-            _validate_arrow_params(self.n, self.params, self.degree)
+            expected = _arrow_degree(self.n, params.get("p1"), params.get("p2"))
         else:
             raise ValueError(f"unknown witness reason {self.reason!r}")
+        if self.degree != expected:
+            raise ValueError(f"{self.reason} witness of n = {self.n} must have degree {expected}")
+        if self.reason == "arrow":
+            _check_multiplier(params["p1"], params["p2"], params.get("a"))
 
 
 @dataclass(frozen=True)
@@ -128,9 +136,7 @@ class VerificationReport:
 def witness_square_case(n: int, p: int, *, max_degree: int = DEGREE_CAP) -> WitnessCertificate:
     """Witness for p*p | n: disjoint cycles of lengths p and n/p."""
     _check_positive(n)
-    if not is_prime(p) or n % (p * p) != 0:
-        raise ValueError(f"square case needs a prime p with p^2 | n; got p = {p}, n = {n}")
-    degree = p + n // p
+    degree = _square_degree(n, p)
     if degree > max_degree:
         raise CapacityError(f"witness degree {degree} exceeds the cap of {max_degree}")
     gens = (
@@ -147,18 +153,14 @@ def affine_map(p1: int, p2: int, a: int, k: int, l: int) -> Permutation:
     (k, l) * (k', l') = (k + k' mod p1, l * a^k' + l' mod p2), which is how
     the arrow-case group multiplies.
     """
-    if not (is_prime(p1) and is_prime(p2)):
-        raise ValueError("p1 and p2 must be prime")
-    if (p2 - 1) % p1 != 0:
-        raise ValueError(f"p1 = {p1} must divide p2 - 1 = {p2 - 1}")
-    if not 1 < a < p2 or multiplicative_order(a, p2) != p1:
-        raise ValueError(f"a = {a} must have multiplicative order {p1} mod {p2}")
+    grid = _arrow_degree(p1 * p2, p1, p2)
+    _check_multiplier(p1, p2, a)
     if not 0 <= k < p1:
         raise ValueError(f"k must lie in [0, {p1})")
     if not 0 <= l < p2:
         raise ValueError(f"l must lie in [0, {p2})")
     ak = pow(a, k, p2)
-    images = [0] * (p2 * p2)
+    images = [0] * grid
     for x in range(p2):
         akx = ak * x % p2
         lx = l * x
@@ -181,13 +183,7 @@ def witness_arrow_case(n: int, p1: int, p2: int, *, max_degree: int = DEGREE_CAP
     a trailing cycle on n/(p1*p2) extra points restores the full order.
     """
     _check_positive(n)
-    if not (is_prime(p1) and is_prime(p2)) or (p2 - 1) % p1 != 0:
-        raise ValueError(f"arrow case needs primes with p1 | p2 - 1; got {p1}, {p2}")
-    if n % (p1 * p2) != 0:
-        raise ValueError(f"p1*p2 = {p1 * p2} must divide n = {n}")
-    m = n // (p1 * p2)
-    grid = p2 * p2
-    degree = grid + (m if m > 1 else 0)
+    degree = _arrow_degree(n, p1, p2)
     if degree > max_degree:
         raise CapacityError(f"witness degree {degree} exceeds the cap of {max_degree}")
     a = element_of_order(p1, p2)
@@ -195,7 +191,8 @@ def witness_arrow_case(n: int, p1: int, p2: int, *, max_degree: int = DEGREE_CAP
         _embed(affine_map(p1, p2, a, 1, 0), degree),
         _embed(affine_map(p1, p2, a, 0, 1), degree),
     ]
-    if m > 1:
+    grid = p2 * p2
+    if degree > grid:
         gens.append(cycle(range(grid, degree), degree))
     return WitnessCertificate(n, "arrow", {"p1": p1, "p2": p2, "a": a}, degree, tuple(gens))
 

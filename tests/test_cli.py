@@ -167,8 +167,9 @@ class TestVerify:
         ids=["square", "arrow"],
     )
     def test_huge_prime_parameter_fails_fast(self, capsys, tmp_path, order, fields):
-        # Divisibility and the degree formula are checked before primality,
-        # so the bogus file is refused without any work on 2^61 - 1.
+        # Divisibility is checked before primality, so 2^61 - 1 is refused by
+        # a remainder (square) or costs one bounded primality test before the
+        # degree formula refuses it (arrow).
         path = tmp_path / "w.json"
         run(capsys, "witness", str(order), "--out", str(path))
         data = json.loads(path.read_text())

@@ -204,3 +204,60 @@ class TestCertificateValidation:
         good = build_witness(8)
         with pytest.raises(ValueError):
             WitnessCertificate(16, "square", {"p": 2}, good.degree, good.generators)
+
+
+NON_INTEGER_PARAMETERS = [
+    (witness_square_case, (4, 2.0)),
+    (witness_square_case, (4, True)),
+    (witness_arrow_case, (6, 2.0, 3)),
+    (witness_arrow_case, (6, 2, 3.0)),
+    (witness_arrow_case, (6, True, 3)),
+    (witness_arrow_case, (6, 2, True)),
+    (affine_map, (2.0, 3, 2, 1, 0)),
+    (affine_map, (2, 3.0, 2, 1, 0)),
+    (affine_map, (2, 3, 2.0, 1, 0)),
+    (affine_map, (2, 3, True, 1, 0)),
+]
+
+
+class TestSharedConstructionChecks:
+    @pytest.mark.parametrize(
+        "build,args", NON_INTEGER_PARAMETERS, ids=[f"{f.__name__}{args}" for f, args in NON_INTEGER_PARAMETERS]
+    )
+    def test_float_or_bool_parameter_is_a_value_error(self, build, args):
+        with pytest.raises(ValueError):
+            build(*args)
+
+    def test_builders_and_certificates_accept_the_same_parameters(self):
+        # A builder refuses its parameters exactly when no certificate with the
+        # same n and parameters parses, given the formula degree and an
+        # identity generator; an arrow certificate may pick any multiplier a.
+        identities = {}
+
+        def parses(n, reason, params, degree):
+            if degree not in identities:
+                identities[degree] = cn.identity(degree)
+            try:
+                WitnessCertificate(n, reason, params, degree, (identities[degree],))
+            except ValueError:
+                return False
+            return True
+
+        def builds(build, *args):
+            try:
+                build(*args)
+            except ValueError:
+                return False
+            return True
+
+        for n in range(1, 201):
+            for p in range(1, 14):
+                assert builds(witness_square_case, n, p) == parses(n, "square", {"p": p}, p + n // p), (n, p)
+            for p1 in range(1, 14):
+                for p2 in range(1, 14):
+                    m = n // (p1 * p2)
+                    degree = p2 * p2 + (m if m > 1 else 0)
+                    parsed = any(
+                        parses(n, "arrow", {"p1": p1, "p2": p2, "a": a}, degree) for a in range(p2 + 1)
+                    )
+                    assert builds(witness_arrow_case, n, p1, p2) == parsed, (n, p1, p2)
