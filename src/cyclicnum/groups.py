@@ -19,31 +19,42 @@ element costs one product and one hash, and each representative r one
 product and one membership test per generator.  Permutation wrappers are
 made only for the finished, sorted element list.
 
-``all_element_orders`` gives every element its order in one pass.  For
-each h whose order is not yet known it walks h, h^2, ... with h's gather
-until the identity, k steps, and gives each power h^j the order
-k / gcd(k, j).  Each power is located by binary search in the sorted
-elements, log2 |G| tuple comparisons that stop at the first differing
-entry.  Distinct walks generate distinct cyclic subgroups, so the pass
-takes at most sum |C| steps over the cyclic subgroups C of G.  Since
-|G| = sum phi(|C|), that is at most |G| * max k/phi(k), under 5 for
-|G| <= 20000.
+``all_element_orders`` and the subgroup lattice key each element by its
+images on a base: a list of points whose images tell the elements of G
+apart (Seress, *Permutation Group Algorithms*, 2003).  ``_base`` picks
+the points by a check on the element list closure built: while two
+elements have equal images on the points, it appends the first point
+where they differ.  Each new point strictly shrinks the pointwise
+stabilizer, so there are at most log2 |G| of them, 15 under the
+closure cap.  Neither query then builds a product or hashes a whole
+image tuple.
+
+The order pass follows, for each element h whose order is not yet
+known, h's cycle through each base point.  ord(h) is the lcm of those
+cycle lengths, k, since the key is injective on G, and the key of h^j
+is each cycle's entry at j mod its length, which a dict from key to
+index locates; h^j gets the order k / gcd(k, j).  Distinct walks
+generate distinct cyclic subgroups, so the pass follows at most
+sum |C| cycle steps per base point over the cyclic subgroups C of G.
+Since |G| = sum phi(|C|), that is at most |G| * max k/phi(k), under 5
+for |G| <= 20000.
 
 Queries work directly on the permutations at every group size.
 Conjugacy classes and the conjugates of a subgroup are orbits under
 conjugation by the generators alone, so neither sweeps all of G, and a
 normalizer tests one element per coset.  Only the subgroup lattice,
 capped at order 64, builds an index multiplication table (|G|^2
-entries), inside the call and with one gather per element: the gather
-of b maps every element's image tuple to that of its product with b.
+entries), inside the call: a*b sends each base point to a's image of
+b's image of it, so the key of a*b is a's images at b's key, one lookup
+per base point.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Collection, Iterable, Sequence
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import CapacityError
 from .perm import Permutation, _gather, perm_order
@@ -247,33 +258,79 @@ def generated_subgroup(G: FiniteGroup, f: Permutation) -> Subgroup:
     return Subgroup._trusted(G, map(Permutation._trusted, _closed_images([f.images], len(G))))
 
 
+def _key(points: Sequence[int]):
+    """The map from an image tuple to its images at the points.
+
+    It gives a bare int for one point, a tuple for several and () for none.
+    """
+    return itemgetter(*points) if points else lambda images: ()
+
+
+def _base(images: Sequence[tuple[int, ...]]) -> list[int]:
+    """Points whose images tell the given distinct image tuples apart.
+
+    Starts with no points and, while two tuples have equal images on the
+    points, appends the first point where they differ, so the result is a
+    base by a check on every tuple, not by assumption.  On the elements of
+    a group G each new point strictly shrinks the pointwise stabilizer of
+    the points, so there are at most log2 |G| of them.
+    """
+    base: list[int] = []
+    while True:
+        key = _key(base)
+        seen: dict = {}
+        for x in images:
+            y = seen.setdefault(key(x), x)
+            if y is not x:
+                base.append(next(i for i, (u, v) in enumerate(zip(x, y)) if u != v))
+                break
+        else:
+            return base
+
+
+def _power_keys(images: tuple[int, ...], base: Sequence[int]) -> list:
+    """The keys on the base of h^0, h^1, ..., h^(k-1), where k = ord(h).
+
+    h^j sends a base point to entry j mod L of the point's cycle under h,
+    of length L; on a base the key is injective, so k is the lcm of the
+    cycle lengths.
+    """
+    cycles = []
+    for b in base:
+        cyc = [b]
+        y = images[b]
+        while y != b:
+            cyc.append(y)
+            y = images[y]
+        cycles.append(cyc)
+    if len(cycles) == 1:
+        return cycles[0]
+    k = lcm(*map(len, cycles))
+    return list(zip(*[cyc * (k // len(cyc)) for cyc in cycles]))
+
+
 def all_element_orders(G: FiniteGroup) -> list[int]:
     """The order of every element, indexed like G.elements, in one pass.
 
-    Walks h, h^2, ..., h^k = e only for elements h whose order is still
-    unknown and sets ord(h^j) = k / gcd(k, j) on the way (see the module
-    docstring for the bound on the steps).  A power an earlier walk
-    reached gets the same value again, since it is its true order.
-    Each power's index is found by binary search in the sorted image
-    tables, so no permutation is hashed and no index is built; powers
-    are kept as indices, not tuples, so the walk holds one permutation
-    at a time.
+    Keys every element by its images on a checked base (see the module
+    docstring).  For each element h whose order is still unknown it
+    follows h's cycle through each base point, which gives the keys of
+    h, h^2, ..., h^k = e, and sets ord(h^j) = k / gcd(k, j).  A power an
+    earlier walk reached gets the same value again, since it is its true
+    order.  No product is built and no whole image tuple is hashed.
     """
-    elements = G.elements
-    keys = [g.images for g in elements]  # sorted: the canonical order
-    orders = [0] * len(elements)
+    images = [g.images for g in G.elements]
+    base = _base(images)
+    index = {k: i for i, k in enumerate(map(_key(base), images))}
+    orders = [0] * len(images)
     orders[0] = 1  # the identity sorts first
     shared: dict[int, int] = {}  # one int object per distinct order, not per element
-    for i, h in enumerate(elements):
+    for i, x in enumerate(images):
         if orders[i]:
             continue
-        step = _gather(h.images)
-        x = h.images
-        powers = [i]
-        while (p := bisect_left(keys, x := step(x))) != 0:
-            powers.append(p)
-        k = len(powers) + 1
-        for j, p in enumerate(powers, 1):
+        powers = _power_keys(x, base)
+        k = len(powers)
+        for j, p in enumerate(map(index.__getitem__, powers[1:]), 1):
             order = k // gcd(k, j)
             orders[p] = shared.setdefault(order, order)
     return orders
@@ -434,17 +491,21 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
     2005); every subgroup is a join of cyclic ones, so the sweep is
     exhaustive.  Works on indices into G.elements, with an index table
-    built by one gather per element.  Results are sorted by (order,
-    element list).
+    built from each element's images on a checked base, one lookup per
+    base point per entry (see the module docstring).  Results are sorted
+    by (order, element list).
     """
     if len(G) > DEFAULT_SUBGROUP_BOUND:
         raise CapacityError(
             f"subgroup enumeration is limited to groups of order {DEFAULT_SUBGROUP_BOUND}"
         )
-    keys = [g.images for g in G.elements]
-    index = {x: i for i, x in enumerate(keys)}
-    # right[b][a] is the index of a*b; the identity is index 0.
-    right = [[index[x] for x in map(_gather(b), keys)] for b in keys]
+    images = [g.images for g in G.elements]
+    base = _base(images)
+    index = {k: i for i, k in enumerate(map(_key(base), images))}
+    # right[b][a] is the index of a*b; the identity is index 0.  a*b sends
+    # each base point to a's image of b's image of it, so its key is a's
+    # images at b's key.
+    right = [[index[k] for k in map(_key([b[p] for p in base]), images)] for b in images]
 
     def close(seed: Collection[int]) -> frozenset[int]:
         """Subgroup of indices generated by the seed indices."""
@@ -462,7 +523,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
             frontier = fresh
         return frozenset(els)
 
-    known = {close([i]) for i in range(len(keys))}
+    known = {close([i]) for i in range(len(images))}
     work = list(known)
     while work:
         a = work.pop()

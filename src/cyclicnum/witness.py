@@ -38,6 +38,12 @@ Reason = Literal["square", "arrow"]
 # primality: a parameter above n fails a remainder test, so is_prime only
 # ever sees parameters up to n.
 
+def _check_int(what: str, value) -> None:
+    """Raise unless value is an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _square_degree(n: int, p) -> int:
     """Degree p + n/p of the square witness; p must be a prime with p^2 | n."""
     if not isinstance(p, int) or p < 2:
@@ -97,9 +103,7 @@ class WitnessCertificate:
 
     def __post_init__(self):
         for name in ("n", "degree"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"certificate field {name!r} must be an integer, got {value!r}")
+            _check_int(f"certificate field {name!r}", getattr(self, name))
         _check_positive(self.n)
         if not self.generators:
             raise ValueError("a witness needs at least one generator")
@@ -135,6 +139,7 @@ class VerificationReport:
 
 def witness_square_case(n: int, p: int, *, max_degree: int = DEGREE_CAP) -> WitnessCertificate:
     """Witness for p*p | n: disjoint cycles of lengths p and n/p."""
+    _check_int("n", n)
     _check_positive(n)
     degree = _square_degree(n, p)
     if degree > max_degree:
@@ -155,6 +160,8 @@ def affine_map(p1: int, p2: int, a: int, k: int, l: int) -> Permutation:
     """
     grid = _arrow_degree(p1 * p2, p1, p2)
     _check_multiplier(p1, p2, a)
+    _check_int("k", k)
+    _check_int("l", l)
     if not 0 <= k < p1:
         raise ValueError(f"k must lie in [0, {p1})")
     if not 0 <= l < p2:
@@ -182,6 +189,7 @@ def witness_arrow_case(n: int, p1: int, p2: int, *, max_degree: int = DEGREE_CAP
     Generators are the affine maps (1, 0) and (0, 1); when n exceeds p1*p2
     a trailing cycle on n/(p1*p2) extra points restores the full order.
     """
+    _check_int("n", n)
     _check_positive(n)
     degree = _arrow_degree(n, p1, p2)
     if degree > max_degree:

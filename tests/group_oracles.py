@@ -4,13 +4,24 @@
 bytecode and keep a set of Permutation objects, where ``cyclicnum.perm``
 and ``cyclicnum.groups`` gather in C on raw image tuples.
 
+``element_orders`` and ``subgroups`` work on whole image tuples: the
+first walks each element's powers with its gather and finds each power
+by binary search in the sorted elements, the second builds the subgroup
+lattice's index table with one gather per element and a dict of whole
+tuples.  ``cyclicnum.groups`` keys every element by its images on a
+checked base instead, and builds no product for either.
+
 The rest sweep all of G: the normalizer tests every element, and the
 conjugates of a subgroup or an element are taken over every b in G.
 ``cyclicnum.groups`` computes the same answers with one test per coset
 of F and with orbits under conjugation by the generators.
 """
 
-from cyclicnum import CapacityError, Permutation, generated_subgroup, identity
+from bisect import bisect_left
+from math import gcd
+
+from cyclicnum import CapacityError, Permutation, Subgroup, generated_subgroup, identity
+from cyclicnum.perm import _gather
 
 
 def compose(f, g):
@@ -42,6 +53,55 @@ def closure(generators, max_size):
                     fresh.append(c)
         frontier = fresh
     return els
+
+
+def element_orders(G):
+    """The order of every element, indexed like G.elements: walks h, h^2,
+    ... with h's gather for each h whose order is unknown, locating each
+    power by binary search in the sorted image tuples."""
+    keys = [g.images for g in G.elements]
+    orders = [0] * len(keys)
+    orders[0] = 1
+    for i, h in enumerate(keys):
+        if orders[i]:
+            continue
+        step = _gather(h)
+        x = h
+        powers = [i]
+        while (p := bisect_left(keys, x := step(x))) != 0:
+            powers.append(p)
+        k = len(powers) + 1
+        for j, p in enumerate(powers, 1):
+            orders[p] = k // gcd(k, j)
+    return orders
+
+
+def subgroups(G):
+    """Every subgroup of G, sorted by (order, element list), from an index
+    table of whole image tuples: right[b][a] is the index of a*b."""
+    keys = [g.images for g in G.elements]
+    index = {x: i for i, x in enumerate(keys)}
+    right = [[index[x] for x in map(_gather(b), keys)] for b in keys]
+
+    def close(seed):
+        els = {0, *seed}
+        frontier = list(els)
+        while frontier:
+            fresh = [right[b][a] for a in frontier for b in seed]
+            frontier = [c for c in fresh if c not in els]
+            els.update(frontier)
+        return frozenset(els)
+
+    known = {close([i]) for i in range(len(keys))}
+    work = list(known)
+    while work:
+        a = work.pop()
+        for b in list(known):
+            if not (a <= b or b <= a) and (joined := close(a | b)) not in known:
+                known.add(joined)
+                work.append(joined)
+    subs = [Subgroup._trusted(G, (G.elements[i] for i in idxs)) for idxs in known]
+    return sorted(subs, key=lambda H: (len(H), H.elements))
 
 
 def normalizer(G, F):

@@ -490,10 +490,14 @@ def built_before_cap(sizes, max_size):
 
 class TestAgainstProductOracles:
     """Gathered products, Dimino's closure and the order pass against the
-    entry-by-entry compose, the Permutation-set closure and perm_order."""
+    entry-by-entry compose, the Permutation-set closure, perm_order and the
+    binary-search order pass; every group the order pass sees also has its
+    checked base checked."""
 
     def assert_orders_match(self, G, label):
-        assert cn.all_element_orders(G) == [cn.perm_order(g) for g in G.elements], label
+        assert_base([g.images for g in G.elements], label)
+        orders = cn.all_element_orders(G)
+        assert orders == [cn.perm_order(g) for g in G.elements] == oracle.element_orders(G), label
 
     def test_witnesses_up_to_200_and_two_above_degree_6000(self, witness_closures):
         assert cn.build_witness(166).degree > 6000 and cn.build_witness(237).degree > 6000
@@ -562,6 +566,43 @@ class TestAgainstProductOracles:
                         cn.closure(gens, max_size=max_size)
                     message = f"cap of {max_size} elements ({built} built, degree {gens[0].degree})"
                     assert message in str(info.value), (n, max_size)
+
+
+def assert_base(images, label):
+    """The points _base picks tell the image tuples apart, and there are at
+    most log2 of their number."""
+    base = cn.groups._base(images)
+    assert len({tuple(x[p] for p in base) for x in images}) == len(images), label
+    assert 2 ** len(base) <= len(images), label
+    return base
+
+
+class TestCheckedBase:
+    """The order pass and the lattice key each element by its images on the
+    points _base picks; the oracles use whole image tuples.  The order pass
+    is compared on the corpus and the witnesses in TestAgainstProductOracles."""
+
+    def test_corpus_lattices(self, corpus_subgroups):
+        for name, (G, subgroups) in corpus_subgroups.items():
+            assert [H.elements for H in subgroups] == [H.elements for H in oracle.subgroups(G)], name
+
+    @pytest.mark.parametrize(
+        "gens,points",
+        [
+            ([cycle([0, 1], 3), cycle([0, 1, 2], 3)], 2),
+            ([cycle([0, 1], 4), cycle([0, 1, 2, 3], 4)], 3),
+            ([cycle([0, 1], 6), cycle([2, 3], 6), cycle([4, 5], 6)], 3),
+        ],
+        ids=["S3", "S4", "Z2^3"],
+    )
+    def test_groups_that_need_several_points(self, gens, points):
+        # No base of S3 on 3 points, S4 on 4 points or Z2^3 as three
+        # disjoint transpositions has fewer points than given here.
+        G = cn.closure(gens)
+        assert len(assert_base([g.images for g in G.elements], len(G))) == points
+        orders = cn.all_element_orders(G)
+        assert orders == [cn.perm_order(g) for g in G.elements] == oracle.element_orders(G)
+        assert [H.elements for H in cn.all_subgroups(G)] == [H.elements for H in oracle.subgroups(G)]
 
 
 class TestProofArithmetic:

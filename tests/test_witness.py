@@ -217,6 +217,15 @@ NON_INTEGER_PARAMETERS = [
     (affine_map, (2, 3.0, 2, 1, 0)),
     (affine_map, (2, 3, 2.0, 1, 0)),
     (affine_map, (2, 3, True, 1, 0)),
+    (witness_square_case, (4.0, 2)),
+    (witness_square_case, (True, 2)),
+    (witness_arrow_case, (6.0, 2, 3)),
+    (witness_arrow_case, (True, 2, 3)),
+    (affine_map, (2, 3, 2, 1.0, 0)),
+    (affine_map, (2, 3, 2, 1, 0.0)),
+    (affine_map, (2, 3, 2, True, 0)),
+    (affine_map, (2, 3, 2, 1, True)),
+    (affine_map, (2, 3, 2, 0, True)),
 ]
 
 

@@ -63,7 +63,7 @@ def test_order_pass_walks_only_elements_no_earlier_walk_reached(monkeypatch, n):
         if g not in reached:
             expected += 1
             reached |= generated_subgroup(G, g)._elem_set
-    walks = count_calls(monkeypatch, "_gather", groups)
+    walks = count_calls(monkeypatch, "_power_keys", groups)
     groups.all_element_orders(G)
     assert len(walks) == expected < n - 1
 
@@ -96,6 +96,17 @@ def test_closure_takes_under_1_6_products_per_element_up_to_200(monkeypatch):
         products.clear()
         assert len(closure(cert.generators)) == n
         assert len(products) < 1.6 * n, n
+
+
+@pytest.mark.parametrize("n", [12, 54, 62, 128, 2310])
+def test_order_pass_and_lattice_take_no_products(monkeypatch, n):
+    # Both key each element by its images on a base: no gathered product.
+    G = closure(build_witness(n).generators)
+    products = count_products(monkeypatch)
+    groups.all_element_orders(G)
+    if n <= groups.DEFAULT_SUBGROUP_BOUND:
+        groups.all_subgroups(G)
+    assert products == []
 
 
 @pytest.mark.parametrize("n", [1432, 2310])
