@@ -7,37 +7,58 @@ deduplication are plain set comparisons.
 
 Closure is Dimino's algorithm (Butler, *Fundamental Algorithms for
 Permutation Groups*, LNCS 559, 1991; Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 2005) on raw image tuples, with the gathers
-of ``perm`` as products.  It starts from the longest cyclic subgroup
-<g> over the generators, found by walking each generator's powers until
-the identity.  Each further generator g outside the group H built so far
-grows H to <H, g> as a union of right cosets H*x: the coset H*g first,
-then H*(r*s) for every coset representative r and generator s used so
-far whose product r*s is not yet in the set.  Distinct right cosets are
-disjoint, so a coset goes into the set with no membership test: each
-element costs one product and one hash, and each representative r one
-product and one membership test per generator.  Permutation wrappers are
-made only for the finished, sorted element list.
+Computational Group Theory*, 2005) on keys.  An element's key is its
+images on a short list of base points (Seress, *Permutation Group
+Algorithms*, 2003): a bare int for one point, a tuple for several.  The
+first stage is the cyclic group <g> of the generator of largest order.
+Its keys come from g's cycles, since g^j sends a point j steps along its
+cycle, and its base points are cycles whose lengths have lcm ord(g).
+Each further generator g outside the group H built so far grows H to
+<H, g> as a union of left cosets x*H: g*H first, then (s*r)*H for every
+coset representative r and generator s used so far whose product s*r
+is not yet in the group.  x*h sends a base point b to x's image of h's
+image of b, so the keys of x*H at b are one C gather of x's images at
+H's column of images of b.  The representatives s*r, and the elements
+that key hits name (below), are the only whole image tuples closure
+builds.
 
-``all_element_orders`` and the subgroup lattice key each element by its
-images on a base: a list of points whose images tell the elements of G
-apart (Seress, *Permutation Group Algorithms*, 2003).  ``_base`` picks
-the points by a check on the element list closure built: while two
-elements have equal images on the points, it appends the first point
-where they differ.  Each new point strictly shrinks the pointwise
-stabilizer, so there are at most log2 |G| of them, 15 under the
-closure cap.  Neither query then builds a product or hashes a whole
-image tuple.
+Keys are trusted in two places, and both are checked:
+
+- a membership hit: s*r is in the group only if the element its key
+  names, built as a whole tuple from its representatives and a power of
+  g, equals s*r;
+- coset growth: a coset x*H with x outside the group is disjoint from
+  it, so it must add exactly |H| new keys.
+
+When either check fails, two distinct elements have equal keys.  The
+first point where they differ is appended to the base, and every key
+gains its image there.  So the keys of everything built stay pairwise
+distinct, a key the group lacks means an element outside it, and the
+final base tells every element of G apart: the checks suffice.  The new
+point is moved by x^-1*y, an element of G that fixes the earlier points,
+so each point strictly shrinks their pointwise stabilizer in G: there
+are at most log2 |G| points, 15 under the closure cap.
+
+``FiniteGroup.elements``, sorted by image table, is built from closure's
+stages the first time it is read, with about one product per element:
+a stage's left cosets r*H are, inverted, the right cosets H*r^-1, and
+one gather maps H to each.  ``len(G)`` and ``verify``'s order pass read
+only the keys.  A group made by the FiniteGroup constructor has no
+keys; ``_base`` picks points on its element list instead, by the same
+check: while two elements have equal images on the points, it appends
+the first point where they differ.
 
 The order pass follows, for each element h whose order is not yet
 known, h's cycle through each base point.  ord(h) is the lcm of those
 cycle lengths, k, since the key is injective on G, and the key of h^j
 is each cycle's entry at j mod its length, which a dict from key to
-index locates; h^j gets the order k / gcd(k, j).  Distinct walks
-generate distinct cyclic subgroups, so the pass follows at most
-sum |C| cycle steps per base point over the cyclic subgroups C of G.
-Since |G| = sum phi(|C|), that is at most |G| * max k/phi(k), under 5
-for |G| <= 20000.
+index locates; h^j gets the order k / gcd(k, j).  The pass reads h only
+at the points on those cycles: from G.elements when they exist, else
+through h's representatives and power of g.  Distinct walks generate
+distinct cyclic subgroups, so the pass follows at most sum |C| cycle
+steps per base point over the cyclic subgroups C of G.  Since
+|G| = sum phi(|C|), that is at most |G| * max k/phi(k), under 5 for
+|G| <= 20000.
 
 Queries work directly on the permutations at every group size.
 Conjugacy classes and the conjugates of a subgroup are orbits under
@@ -51,13 +72,14 @@ per base point.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Callable, Collection, Iterable, Sequence
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import CapacityError
-from .perm import Permutation, _gather, perm_order
+from .perm import Permutation, _cycles, _gather, perm_order
 
 DEFAULT_CLOSURE_CAP = 20000
 DEFAULT_SUBGROUP_BOUND = 64
@@ -92,13 +114,48 @@ class FiniteGroup(_ElementSet):
 
     Construct with closure(); the constructor itself trusts its inputs.
     Immutable once built.  The identity is always elements[0], since its
-    image table sorts first.
+    image table sorts first.  A group from closure keeps closure's keyed
+    stages and builds its elements the first time they are read.
     """
+
+    _dimino: _Dimino | None = None
 
     def __init__(self, degree: int, generators: Sequence[Permutation], elements: Iterable[Permutation]):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(sorted(elements))
+
+    @classmethod
+    def _closed(cls, degree: int, generators: Sequence[Permutation], dimino: _Dimino) -> "FiniteGroup":
+        G = object.__new__(cls)
+        G.degree = degree
+        G.generators = tuple(generators)
+        G._dimino = dimino
+        return G
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(map(Permutation._trusted, sorted(self._dimino.images())))
+
+    @cached_property
+    def _points(self) -> list[int]:
+        """A checked base of G: closure's, or one picked on the elements."""
+        if self._dimino is not None:
+            return self._dimino.base
+        return _base([g.images for g in self.elements])
+
+    @cached_property
+    def _conjugations(self) -> list:
+        """For each generator b, the map x -> b^-1*x*b, as two gathers."""
+        steps = []
+        for b in self.generators:
+            def step(x, ib=b.inverse().images, after_b=_gather(b.images)):
+                return Permutation._trusted(after_b(_gather(x.images)(ib)))
+            steps.append(step)
+        return steps
+
+    def __len__(self) -> int:
+        return len(self.elements) if self._dimino is None else self._dimino.size
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -111,7 +168,7 @@ class FiniteGroup(_ElementSet):
         return hash((self.degree, self._elem_set))
 
     def __repr__(self) -> str:
-        return f"<FiniteGroup of order {len(self.elements)} on {self.degree} points>"
+        return f"<FiniteGroup of order {len(self)} on {self.degree} points>"
 
 
 class Subgroup(_ElementSet):
@@ -169,14 +226,18 @@ def _require_subgroup_of(G: FiniteGroup, F: Subgroup) -> None:
 
 
 def closure(generators: Iterable[Permutation], *, max_size: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    """Smallest group containing the generators, by Dimino's algorithm.
+    """Smallest group containing the generators, by Dimino's algorithm on keys.
 
-    Grows the longest cyclic subgroup of a generator by one generator at
-    a time, each stage a union of right cosets of the group before it
-    (see the module docstring), so every element is built by one product
-    and hashed once.  Raises CapacityError, saying how many elements were
-    built, before the count would pass max_size, so runaway inputs fail
-    cleanly instead of exhausting memory.
+    Grows the cyclic group of the generator of largest order by one
+    generator at a time, each stage a union of left cosets of the group
+    before it.  Every element is a key, its images on a base that closure
+    checks as it goes: a key that names an element is confirmed on whole
+    image tuples, and each coset must add as many new keys as it has
+    elements; either failure adds a base point (see the module
+    docstring).  The sorted elements are built when first read.  Raises
+    CapacityError, saying how many elements were built, before the count
+    would pass max_size, so runaway inputs fail cleanly instead of
+    exhausting memory.
     """
     gens = tuple(generators)
     if not gens:
@@ -185,66 +246,205 @@ def closure(generators: Iterable[Permutation], *, max_size: int = DEFAULT_CLOSUR
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree mismatch: {g.degree} vs {degree}")
-    images = _closed_images([g.images for g in gens], max_size)
-    return FiniteGroup(degree, gens, map(Permutation._trusted, images))
+    return FiniteGroup._closed(degree, gens, _Dimino([g.images for g in gens], max_size))
 
 
-def _closed_images(gens: list[tuple[int, ...]], max_size: int) -> list[tuple[int, ...]]:
-    """The sorted image tuples of the group the generators' tuples generate.
+def _first_difference(x: Sequence[int], y: Sequence[int]) -> int:
+    """The first point where the distinct image tuples x and y differ."""
+    return next(p for p, (u, v) in enumerate(zip(x, y)) if u != v)
 
-    The set is freed on return, so it and the caller's Permutation
-    wrappers are never alive together.
+
+class _Dimino:
+    """Dimino's closure of generator image tuples, on keys.
+
+    Elements are numbered as closure builds them: g^0, ..., g^(k-1) for
+    the first-stage generator g, then each later stage's cosets in turn.
+    A stage (h, reps) holds the order h of the group before it and its
+    left coset representatives; element h*(c+1) + i is reps[c] after
+    element i.  ``columns`` holds each base point's image under every
+    element, and ``index`` maps each key to its element.
     """
-    e = tuple(range(len(gens[0])))
 
-    def over(built: int) -> CapacityError:
+    def __init__(self, gens: list[tuple[int, ...]], max_size: int):
+        m = len(gens[0])
+        self.max_size = max_size
+        if max_size < 1:
+            raise self._over(0, m)
+        self.k = 0
+        for g in gens:
+            cycles = _cycles(g)
+            k = lcm(*map(len, cycles))
+            if k > max_size:
+                raise self._over(max_size, m)
+            if k > self.k:
+                self.k, self.first, self.cycles = k, g, cycles
+        self.cycle_of: list[list[int]] = [[]] * m
+        self.pos = [0] * m
+        for cyc in self.cycles:
+            for i, y in enumerate(cyc):
+                self.cycle_of[y] = cyc
+                self.pos[y] = i
+        where = [0] * m
+        for i, y in enumerate(chain.from_iterable(self.cycles)):
+            where[y] = i
+        self._unturn = _gather(tuple(where))
+        self.size = self.k
+        self.stages: list[tuple[int, list[tuple[int, ...]]]] = []
+        # g^j sends the first point of a cycle of length L to the cycle's
+        # entry j mod L, so points whose cycle lengths have lcm k tell the
+        # powers of g apart.
+        self.base: list[int] = []
+        self.columns: list[list[int]] = []
+        period = 1
+        for cyc in sorted(self.cycles, key=len, reverse=True):
+            if period % len(cyc):
+                period = lcm(period, len(cyc))
+                self.base.append(cyc[0])
+                self.columns.append(cyc * (self.k // len(cyc)))
+        self._rekey()
+        used = [self.first]
+        for g in gens:
+            if g is self.first or self._member(g):
+                continue
+            used.append(g)
+            reps: list[tuple[int, ...]] = []
+            self.stages.append((self.size, reps))
+            self._getters = None
+            self._add_coset(g)
+            for r in reps:  # grows while it is read
+                times_r = _gather(r)
+                for s in used:
+                    x = times_r(s)  # s after r
+                    if not self._member(x):
+                        self._add_coset(x)
+
+    def _over(self, built: int, degree: int) -> CapacityError:
         return CapacityError(
-            f"group closure exceeded the cap of {max_size} elements "
-            f"({built} built, degree {len(e)})"
+            f"group closure exceeded the cap of {self.max_size} elements "
+            f"({built} built, degree {degree})"
         )
 
-    if max_size < 1:
-        raise over(0)
-    # The longest walk g, g^2, ... back to the identity is the first stage.
-    longest, first = [e], e
-    for g in gens:
-        step = _gather(g)
-        walk = [e]
-        x = g
-        while x != e:
-            if len(walk) == max_size:
-                raise over(max_size)
-            walk.append(x)
-            x = step(x)
-        if len(walk) > len(longest):
-            longest, first = walk, g
-    els = set(longest)
-    del longest
+    def _keys(self) -> Sequence:
+        """The key of every element built, in order."""
+        if len(self.columns) == 1:
+            return self.columns[0]
+        if not self.columns:  # no points: the group is the identity alone
+            return [()] * self.size
+        return list(zip(*self.columns))
 
-    def add_coset(x: tuple[int, ...], H: list[tuple[int, ...]]) -> None:
-        # H*x is a right coset outside the set, so disjoint from it.
-        if len(els) + len(H) > max_size:
-            raise over(len(els))
-        els.update(map(_gather(x), H))
+    def _rekey(self) -> None:
+        self.key = _key(self.base)
+        self.index = dict(zip(self._keys(), range(self.size)))
+        self._getters = None
 
-    used = [_gather(first)]
-    # Each generator g outside the set grows H, the set so far, to a union
-    # of right cosets: H*g, then H*x for each new x = r*s, where r runs
-    # over the representatives breadth first and s over the generators used.
-    for g in gens:
-        if g in els:
-            continue
-        used.append(_gather(g))
-        H = list(els)
-        add_coset(g, H)
-        reps = [g]
-        for r in reps:  # grows while it is read
-            for step in used:
-                x = step(r)
-                if x not in els:
-                    add_coset(x, H)
-                    reps.append(x)
-    return sorted(els)
+    def _extend_base(self, x: tuple[int, ...], y: tuple[int, ...]) -> None:
+        """Append a point where the distinct x and y differ, keying every element on it."""
+        p = _first_difference(x, y)
+        self.base.append(p)
+        cyc, s = self.cycle_of[p], self.pos[p]
+        column = (cyc[s:] + cyc[:s]) * (self.k // len(cyc))
+        for h, reps in self.stages:
+            take = itemgetter(*column[:h])
+            for r in reps:
+                column.extend(take(r))
+        self.columns.append(column)
+        self._rekey()
+
+    def _member(self, x: tuple[int, ...]) -> bool:
+        """Whether x is in the group built so far; a key hit is confirmed on whole tuples."""
+        while True:
+            i = self.index.get(self.key(x))
+            if i is None:
+                return False
+            y = self.images_of(i)
+            if y == x:
+                return True
+            self._extend_base(x, y)
+
+    def _add_coset(self, x: tuple[int, ...]) -> None:
+        """Add x*H, for x outside the group, once its keys are all new."""
+        h, reps = self.stages[-1]
+        if self.size + h > self.max_size:
+            raise self._over(self.size, len(x))
+        while True:
+            if self._getters is None:
+                self._getters = [itemgetter(*column[:h]) for column in self.columns]
+            parts = [take(x) for take in self._getters]
+            keys = parts[0] if len(parts) == 1 else list(zip(*parts))
+            before = len(self.index)
+            self.index.update(zip(keys, range(self.size, self.size + h)))
+            if len(self.index) == before + h:
+                break
+            # Two distinct elements, one of them in x*H, share a key.
+            seen = dict(zip(self._keys(), range(self.size)))
+            for t, key in enumerate(keys):
+                j = seen.setdefault(key, self.size + t)
+                if j != self.size + t:
+                    break
+            y = self.images_of(j) if j < self.size else _gather(self.images_of(j - self.size))(x)
+            self._extend_base(y, _gather(self.images_of(t))(x))
+        for column, part in zip(self.columns, parts):
+            column.extend(part)
+        reps.append(x)
+        self.size += h
+
+    def _chain(self, i: int) -> tuple[list[tuple[int, ...]], int]:
+        """Element i as g^j followed by representatives, innermost first."""
+        reps_used = []
+        for h, reps in reversed(self.stages):
+            if i >= h:
+                reps_used.append(reps[i // h - 1])
+                i %= h
+        reps_used.reverse()
+        return reps_used, i
+
+    def images_of(self, i: int) -> tuple[int, ...]:
+        """Element i's whole image tuple, one product per gather."""
+        factors, j = self._chain(i)
+        if j:
+            # Each cycle of g turned j steps, put back in place by one gather.
+            turned = chain.from_iterable(c[j % len(c):] + c[:j % len(c)] for c in self.cycles)
+            factors.insert(0, self._unturn(tuple(turned)))
+        if not factors:
+            return tuple(range(len(self.pos)))
+        x = factors[0]
+        for r in factors[1:]:
+            x = _gather(x)(r)
+        return x
+
+    def reader(self, i: int) -> Callable[[int], int]:
+        """Element i's image of one point at a time, with no product."""
+        reps, j = self._chain(i)
+        cycle_of, pos = self.cycle_of, self.pos
+
+        def at(y: int) -> int:
+            c = cycle_of[y]
+            y = c[(pos[y] + j) % len(c)]
+            for r in reps:
+                y = r[y]
+            return y
+
+        return at
+
+    def images(self) -> list[tuple[int, ...]]:
+        """Every element's image tuple, unsorted, with about one product each.
+
+        The first stage walks g's powers.  A later stage is the union of
+        the left cosets r*H, which inverted are the right cosets H*r^-1:
+        one gather maps H to each, and r^-1 itself needs no product.
+        """
+        e = tuple(range(len(self.first)))
+        step = _gather(self.first)
+        out = [e]
+        for _ in range(1, self.k):
+            out.append(step(out[-1]))
+        for h, reps in self.stages:
+            H = out[1:h]  # out[0] is the identity
+            for r in reps:
+                inv = tuple(sorted(e, key=r.__getitem__))
+                out.append(inv)
+                out.extend(map(_gather(inv), H))
+        return out
 
 
 def element_order(G: FiniteGroup, g: Permutation) -> int:
@@ -255,7 +455,7 @@ def element_order(G: FiniteGroup, g: Permutation) -> int:
 def generated_subgroup(G: FiniteGroup, f: Permutation) -> Subgroup:
     """The cyclic subgroup of all powers of f, from closure's walk."""
     _require_member(G, f)
-    return Subgroup._trusted(G, map(Permutation._trusted, _closed_images([f.images], len(G))))
+    return Subgroup._trusted(G, closure([f], max_size=len(G)).elements)
 
 
 def _key(points: Sequence[int]):
@@ -282,26 +482,26 @@ def _base(images: Sequence[tuple[int, ...]]) -> list[int]:
         for x in images:
             y = seen.setdefault(key(x), x)
             if y is not x:
-                base.append(next(i for i, (u, v) in enumerate(zip(x, y)) if u != v))
+                base.append(_first_difference(x, y))
                 break
         else:
             return base
 
 
-def _power_keys(images: tuple[int, ...], base: Sequence[int]) -> list:
+def _power_keys(at: Callable[[int], int], base: Sequence[int]) -> list:
     """The keys on the base of h^0, h^1, ..., h^(k-1), where k = ord(h).
 
-    h^j sends a base point to entry j mod L of the point's cycle under h,
-    of length L; on a base the key is injective, so k is the lcm of the
-    cycle lengths.
+    at(y) is h's image of y.  h^j sends a base point to entry j mod L of
+    the point's cycle under h, of length L; on a base the key is
+    injective, so k is the lcm of the cycle lengths.
     """
     cycles = []
     for b in base:
         cyc = [b]
-        y = images[b]
+        y = at(b)
         while y != b:
             cyc.append(y)
-            y = images[y]
+            y = at(y)
         cycles.append(cyc)
     if len(cycles) == 1:
         return cycles[0]
@@ -309,31 +509,53 @@ def _power_keys(images: tuple[int, ...], base: Sequence[int]) -> list:
     return list(zip(*[cyc * (k // len(cyc)) for cyc in cycles]))
 
 
-def all_element_orders(G: FiniteGroup) -> list[int]:
-    """The order of every element, indexed like G.elements, in one pass.
+def _order_pass(index: dict, base: Sequence[int], read: Callable[[int], Callable[[int], int]]) -> list[int]:
+    """The order of every element, indexed like the keys index maps to.
 
-    Keys every element by its images on a checked base (see the module
-    docstring).  For each element h whose order is still unknown it
-    follows h's cycle through each base point, which gives the keys of
-    h, h^2, ..., h^k = e, and sets ord(h^j) = k / gcd(k, j).  A power an
-    earlier walk reached gets the same value again, since it is its true
-    order.  No product is built and no whole image tuple is hashed.
+    read(i) gives element i's image of a point; the identity is element 0.
+    For each element h whose order is still unknown the pass follows h's
+    cycle through each base point, which gives the keys of h, h^2, ...,
+    h^k = e, and sets ord(h^j) = k / gcd(k, j).  A power an earlier walk
+    reached gets the same value again, since it is its true order.  No
+    product is built and no whole image tuple is hashed.
     """
-    images = [g.images for g in G.elements]
-    base = _base(images)
-    index = {k: i for i, k in enumerate(map(_key(base), images))}
-    orders = [0] * len(images)
-    orders[0] = 1  # the identity sorts first
+    orders = [0] * len(index)
+    orders[0] = 1
     shared: dict[int, int] = {}  # one int object per distinct order, not per element
-    for i, x in enumerate(images):
+    for i in range(len(orders)):
         if orders[i]:
             continue
-        powers = _power_keys(x, base)
+        powers = _power_keys(read(i), base)
         k = len(powers)
         for j, p in enumerate(map(index.__getitem__, powers[1:]), 1):
             order = k // gcd(k, j)
             orders[p] = shared.setdefault(order, order)
     return orders
+
+
+def all_element_orders(G: FiniteGroup) -> list[int]:
+    """The order of every element, indexed like G.elements, in one pass.
+
+    Keys every element by its images on G's checked base (see the module
+    docstring) and runs the order pass on the element list.
+    """
+    images = [g.images for g in G.elements]
+    base = G._points
+    index = {k: i for i, k in enumerate(map(_key(base), images))}
+    return _order_pass(index, base, lambda i: images[i].__getitem__)
+
+
+def max_element_order(G: FiniteGroup) -> int:
+    """The largest element order in G, from one order pass.
+
+    On a group from closure the pass runs on closure's keys and reads
+    each walked element through its coset representatives, so no element
+    tuple is built.
+    """
+    d = G._dimino
+    if d is None:
+        return max(all_element_orders(G))
+    return max(_order_pass(d.index, d.base, d.reader))
 
 
 def is_cyclic(G: FiniteGroup) -> Permutation | None:
@@ -410,20 +632,10 @@ def _orbit(start, steps) -> set:
     return seen
 
 
-def _conjugations(G: FiniteGroup) -> list:
-    """For each generator b, the map x -> b^-1*x*b, as two gathers."""
-    steps = []
-    for b in G.generators:
-        def step(x, ib=b.inverse().images, after_b=_gather(b.images)):
-            return Permutation._trusted(after_b(_gather(x.images)(ib)))
-        steps.append(step)
-    return steps
-
-
 def conjugacy_class(G: FiniteGroup, g: Permutation) -> frozenset[Permutation]:
     """All b^-1*g*b, as the orbit of g under conjugation by the generators."""
     _require_member(G, g)
-    return frozenset(_orbit(g, _conjugations(G)))
+    return frozenset(_orbit(g, G._conjugations))
 
 
 def conjugate_subgroup(G: FiniteGroup, F: Subgroup, b: Permutation) -> Subgroup:
@@ -450,7 +662,7 @@ def normalizer(G: FiniteGroup, F: Subgroup) -> Subgroup:
 def _conjugates(G: FiniteGroup, F: Subgroup) -> set[frozenset[Permutation]]:
     """The distinct conjugates of F, each without the identity, as the
     orbit of F under conjugation by the generators."""
-    steps = [lambda S, c=c: frozenset(map(c, S)) for c in _conjugations(G)]
+    steps = [lambda S, c=c: frozenset(map(c, S)) for c in G._conjugations]
     return _orbit(frozenset(F.elements[1:]), steps)
 
 
@@ -498,9 +710,10 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     if len(G) > DEFAULT_SUBGROUP_BOUND:
         raise CapacityError(
             f"subgroup enumeration is limited to groups of order {DEFAULT_SUBGROUP_BOUND}"
+            f" (this group has order {len(G)})"
         )
     images = [g.images for g in G.elements]
-    base = _base(images)
+    base = G._points
     index = {k: i for i, k in enumerate(map(_key(base), images))}
     # right[b][a] is the index of a*b; the identity is index 0.  a*b sends
     # each base point to a's image of b's image of it, so its key is a's

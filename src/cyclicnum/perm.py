@@ -146,22 +146,28 @@ def cycle(points: Sequence[int], m: int) -> Permutation:
     return Permutation._trusted(tuple(images))
 
 
-def cycle_lengths(f: Permutation) -> list[int]:
-    """Lengths of the disjoint cycles of f (fixed points count as length 1)."""
-    images = f.images
+def _cycles(images: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of the permutation with these images, each from its
+    least point and in the order the permutation visits its points."""
     seen = [False] * len(images)
-    lengths = []
+    cycles = []
     for start in range(len(images)):
         if seen[start]:
             continue
-        n = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-            n += 1
-        lengths.append(n)
-    return lengths
+        cyc = [start]
+        seen[start] = True
+        y = images[start]
+        while y != start:
+            cyc.append(y)
+            seen[y] = True
+            y = images[y]
+        cycles.append(cyc)
+    return cycles
+
+
+def cycle_lengths(f: Permutation) -> list[int]:
+    """Lengths of the disjoint cycles of f (fixed points count as length 1)."""
+    return [len(cyc) for cyc in _cycles(f.images)]
 
 
 def perm_order(f: Permutation) -> int:

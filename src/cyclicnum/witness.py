@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .errors import CapacityError
-from .groups import DEFAULT_CLOSURE_CAP, all_element_orders, closure
+from .groups import DEFAULT_CLOSURE_CAP, closure, max_element_order
 from .numtheory import _check_positive, check_conditions, element_of_order, is_prime
 from .perm import Permutation, cycle
 
@@ -224,11 +224,12 @@ def verify_certificate(cert: WitnessCertificate, *, max_size: int = DEFAULT_CLOS
     """Recompute the group from the certificate's generators and re-check it.
 
     Nothing is taken on faith: the closure is rebuilt and its size compared
-    with n.  One pass computes every element order; since each order
-    divides |G|, the group is cyclic exactly when the largest reaches |G|.
+    with n.  One pass computes every element order, on closure's keys, so
+    no element tuple is built; since each order divides |G|, the group is
+    cyclic exactly when the largest reaches |G|.
     """
     G = closure(cert.generators, max_size=max_size)
-    max_order = max(all_element_orders(G))
+    max_order = max_element_order(G)
     return VerificationReport(
         order_ok=len(G) == cert.n,
         noncyclic_ok=max_order < len(G),

@@ -4,6 +4,13 @@
 bytecode and keep a set of Permutation objects, where ``cyclicnum.perm``
 and ``cyclicnum.groups`` gather in C on raw image tuples.
 
+``dimino_closure`` is Dimino's closure on whole image tuples, with right
+cosets H*x and a set of tuples: every element is one gathered product
+and one hash.  ``cyclicnum.groups`` runs the same stages on left cosets
+and keys on a base it checks as it goes, building only coset
+representatives as whole tuples, so the two must agree on every group
+and on where each stops at a cap.
+
 ``element_orders`` and ``subgroups`` work on whole image tuples: the
 first walks each element's powers with its gather and finds each power
 by binary search in the sorted elements, the second builds the subgroup
@@ -53,6 +60,61 @@ def closure(generators, max_size):
                     fresh.append(c)
         frontier = fresh
     return els
+
+
+def dimino_closure(gens, max_size):
+    """The sorted image tuples of the group the generator image tuples
+    generate; raises closure's CapacityError, with the number of elements
+    built, before the count would pass max_size."""
+    e = tuple(range(len(gens[0])))
+
+    def over(built):
+        return CapacityError(
+            f"group closure exceeded the cap of {max_size} elements "
+            f"({built} built, degree {len(e)})"
+        )
+
+    if max_size < 1:
+        raise over(0)
+    # The longest walk g, g^2, ... back to the identity is the first stage.
+    longest, first = [e], e
+    for g in gens:
+        step = _gather(g)
+        walk = [e]
+        x = g
+        while x != e:
+            if len(walk) == max_size:
+                raise over(max_size)
+            walk.append(x)
+            x = step(x)
+        if len(walk) > len(longest):
+            longest, first = walk, g
+    els = set(longest)
+
+    def add_coset(x, H):
+        # H*x is a right coset outside the set, so disjoint from it.
+        if len(els) + len(H) > max_size:
+            raise over(len(els))
+        els.update(map(_gather(x), H))
+
+    used = [_gather(first)]
+    # Each generator g outside the set grows H, the set so far, to a union
+    # of right cosets: H*g, then H*x for each new x = r*s, where r runs
+    # over the representatives breadth first and s over the generators used.
+    for g in gens:
+        if g in els:
+            continue
+        used.append(_gather(g))
+        H = list(els)
+        add_coset(g, H)
+        reps = [g]
+        for r in reps:  # grows while it is read
+            for step in used:
+                x = step(r)
+                if x not in els:
+                    add_coset(x, H)
+                    reps.append(x)
+    return sorted(els)
 
 
 def element_orders(G):

@@ -7,6 +7,7 @@ recomputable by direct scans.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -325,6 +326,12 @@ class TestSubgroupEnumeration:
         with pytest.raises(CapacityError):
             cn.all_subgroups(G)
 
+    def test_bound_names_the_group_order(self):
+        s5 = cn.closure([cycle([0, 1], 5), cycle(range(5), 5)])
+        message = r"limited to groups of order 64 \(this group has order 120\)"
+        with pytest.raises(CapacityError, match=message):
+            cn.all_subgroups(s5)
+
     def test_prime_order_group_has_no_maximal_subgroups(self):
         z5 = cn.closure([cycle(range(5), 5)])
         assert cn.maximal_subgroups(z5) == []
@@ -635,3 +642,108 @@ class TestProofArithmetic:
         assert cn.element_order(G, h) % q == 0
         assert pow(2, q, 3) == 1
         assert cn.conjugate_element(G, f, h * h) == f
+
+
+def random_generators(rng, degree):
+    """One to three generators of the given degree: whole shuffles, or
+    sparse transpositions and 3-cycles."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            gens.append(Permutation(rng.sample(range(degree), degree)))
+        else:
+            points = rng.sample(range(degree), min(degree, rng.choice([2, 3])))
+            gens.append(cycle(points, degree))
+    return gens
+
+
+def disjoint_product(gens_a, gens_b):
+    """Generators of A x B, with B's points moved past A's."""
+    m, k = gens_a[0].degree, gens_b[0].degree
+    left = [Permutation([*g.images, *range(m, m + k)]) for g in gens_a]
+    right = [Permutation([*range(m), *(m + v for v in g.images)]) for g in gens_b]
+    return left + right
+
+
+def random_generator_sets():
+    rng = random.Random(20261018)
+    sets = [random_generators(rng, rng.randint(1, 7)) for _ in range(1500)]
+    for _ in range(100):
+        a = random_generators(rng, rng.randint(1, 4))
+        b = random_generators(rng, rng.randint(1, 4))
+        sets.append(disjoint_product(a, b))
+    return sets
+
+
+NAMED = {
+    "S4": [cycle([0, 1], 4), cycle([0, 1, 2, 3], 4)],
+    "S5": [cycle([0, 1], 5), cycle(range(5), 5)],
+    "Z2^3": [cycle([0, 1], 6), cycle([2, 3], 6), cycle([4, 5], 6)],
+}
+
+
+class TestKeyedClosure:
+    """The keyed closure against Dimino's closure on whole image tuples:
+    the same sorted elements and element orders, the same CapacityError
+    at each cap, and keys that stay pairwise distinct after every coset,
+    so that the final base tells the elements apart."""
+
+    @pytest.fixture(autouse=True)
+    def keys_stay_distinct(self, monkeypatch):
+        # A later key hit can repair keys a coset merged, so check the
+        # growth of each coset when it is added, not only at the end.
+        real = cn.groups._Dimino._add_coset
+
+        def add_coset(d, x):
+            real(d, x)
+            assert len(d.index) == d.size
+
+        monkeypatch.setattr(cn.groups._Dimino, "_add_coset", add_coset)
+
+    def assert_matches_oracle(self, gens, label):
+        G = cn.closure(gens)
+        expected = oracle.dimino_closure([g.images for g in gens], 20000)
+        assert [g.images for g in G.elements] == expected, label
+        base = G._points
+        key = cn.groups._key(base)
+        assert len({key(x) for x in expected}) == len(G) == len(expected), label
+        assert 2 ** len(base) <= len(G), label
+        orders = oracle.element_orders(G)
+        assert cn.all_element_orders(G) == orders, label
+        d = G._dimino
+        # The order pass on closure's own keys, reading elements point by point.
+        assert sorted(cn.groups._order_pass(d.index, d.base, d.reader)) == sorted(orders), label
+        assert cn.max_element_order(G) == max(orders), label
+        return G
+
+    def test_random_generator_sets_and_direct_products(self):
+        for i, gens in enumerate(random_generator_sets()):
+            self.assert_matches_oracle(gens, i)
+
+    @pytest.mark.parametrize("name", list(NAMED))
+    def test_named_groups(self, name):
+        G = self.assert_matches_oracle(NAMED[name], name)
+        d = G._dimino
+        # Each key names the element closure numbered, read either way.
+        for i in range(len(G)):
+            x = d.images_of(i)
+            assert d.key(x) == d._keys()[i] and d.index[d.key(x)] == i, (name, i)
+            assert tuple(map(d.reader(i), range(G.degree))) == x, (name, i)
+        assert sorted(map(d.images_of, range(len(G)))) == [g.images for g in G.elements]
+
+    def test_every_cap_on_small_random_groups(self):
+        # At every cap up to one past |G|: the same elements, or the same
+        # message with the same count of elements built.
+        for i, gens in enumerate(random_generator_sets()[:300]):
+            images = [g.images for g in gens]
+            size = len(oracle.dimino_closure(images, 20000))
+            for max_size in range(min(size, 130) + 2):
+                try:
+                    expected = oracle.dimino_closure(images, max_size)
+                except CapacityError as error:
+                    with pytest.raises(CapacityError) as info:
+                        cn.closure(gens, max_size=max_size)
+                    assert str(info.value) == str(error), (i, max_size)
+                else:
+                    G = cn.closure(gens, max_size=max_size)
+                    assert [g.images for g in G.elements] == expected, (i, max_size)

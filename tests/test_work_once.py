@@ -14,7 +14,6 @@ import cyclicnum.cli as cli
 import cyclicnum.groups as groups
 import cyclicnum.numtheory as numtheory
 import cyclicnum.perm as perm
-import cyclicnum.witness as witness
 from cyclicnum import build_witness, closure, enumerate_groups, generated_subgroup, verify_certificate
 
 
@@ -45,7 +44,7 @@ def test_check_factorizes_once(monkeypatch, capsys, n, flags):
 @pytest.mark.parametrize("n", [4, 6, 18, 100])
 def test_verify_computes_each_element_order_once(monkeypatch, n):
     cert = build_witness(n)
-    passes = count_calls(monkeypatch, "all_element_orders", witness, groups)
+    passes = count_calls(monkeypatch, "_order_pass", groups)
     singles = count_calls(monkeypatch, "perm_order", perm, groups)
     report = verify_certificate(cert)
     assert report.passed and report.group_size == n
@@ -94,7 +93,7 @@ def test_closure_takes_under_1_6_products_per_element_up_to_200(monkeypatch):
         if cert is None:
             continue
         products.clear()
-        assert len(closure(cert.generators)) == n
+        assert len(closure(cert.generators).elements) == n
         assert len(products) < 1.6 * n, n
 
 
@@ -102,6 +101,7 @@ def test_closure_takes_under_1_6_products_per_element_up_to_200(monkeypatch):
 def test_order_pass_and_lattice_take_no_products(monkeypatch, n):
     # Both key each element by its images on a base: no gathered product.
     G = closure(build_witness(n).generators)
+    G.elements  # built on first read
     products = count_products(monkeypatch)
     groups.all_element_orders(G)
     if n <= groups.DEFAULT_SUBGROUP_BOUND:
@@ -113,8 +113,19 @@ def test_order_pass_and_lattice_take_no_products(monkeypatch, n):
 def test_closure_takes_one_product_per_element_on_large_witnesses(monkeypatch, n):
     gens = build_witness(n).generators
     products = count_products(monkeypatch)
-    assert len(closure(gens)) == n
+    assert len(closure(gens).elements) == n
     assert len(products) < 1.01 * n
+
+
+@pytest.mark.parametrize("n", [1432, 2310, 9604])
+def test_verify_builds_no_element_tuple(monkeypatch, n):
+    # Closure builds only coset representatives and the elements its key
+    # hits name; the order pass reads walked elements point by point.
+    cert = build_witness(n)
+    products = count_products(monkeypatch)
+    report = verify_certificate(cert)
+    assert report.passed and report.group_size == n
+    assert len(products) < 0.05 * n
 
 
 def write_witness(tmp_path, n):
@@ -126,7 +137,7 @@ def write_witness(tmp_path, n):
 @pytest.mark.parametrize("n", [6, 54, 128])
 def test_analyze_computes_each_element_order_once(monkeypatch, capsys, tmp_path, n):
     path = write_witness(tmp_path, n)
-    passes = count_calls(monkeypatch, "all_element_orders", cli, groups)
+    passes = count_calls(monkeypatch, "_order_pass", groups)
     singles = count_calls(monkeypatch, "perm_order", perm, groups)
     assert cli.main(["analyze", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == n
@@ -142,6 +153,16 @@ def test_analyze_builds_each_conjugacy_class_once(monkeypatch, capsys, tmp_path,
     sizes = json.loads(capsys.readouterr().out)["conjugacy_class_sizes"]
     assert sum(sizes) == n
     assert len(calls) == len(sizes)
+
+
+@pytest.mark.parametrize("n", [54, 62, 128])
+def test_analyze_inverts_each_generator_once(monkeypatch, capsys, tmp_path, n):
+    # The conjugation maps are built once per group, not per class or subgroup.
+    path = write_witness(tmp_path, n)
+    calls = count_calls(monkeypatch, "inverse", perm)
+    assert cli.main(["analyze", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == n
+    assert len(calls) == len(build_witness(n).generators)
 
 
 def test_table_is_cyclic_reads_element_orders(monkeypatch):
