@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cayley import DEFAULT_ORDER_CAP, CayleyTable, Table, enumerate_groups, table_is_cyclic
-from .groups import FiniteGroup
+from .groups import FiniteGroup, closure
 from .numtheory import is_cyclic_number
 from .perm import Permutation
 
@@ -20,13 +20,14 @@ def regular_representation(t: CayleyTable | Table) -> FiniteGroup:
     """The table's rows acting on {0..n-1}: row g sends x to g*x.
 
     Row composition mirrors the table product, so the resulting
-    permutation group is the same group realized concretely.  A raw table
-    is validated by building a CayleyTable from it.
+    permutation group is the same group realized concretely.  It is the
+    closure of the rows other than the identity's (the identity's row
+    alone at order 1), capped at the n elements the rows are.  A raw
+    table is validated by building a CayleyTable from it.
     """
     table = (t if isinstance(t, CayleyTable) else CayleyTable(t)).table
     rows = [Permutation(row) for row in table]
-    gens = tuple(rows[1:]) if len(rows) > 1 else (rows[0],)
-    return FiniteGroup(len(rows), gens, rows)
+    return closure(rows[1:] or rows[:1], max_size=len(rows))
 
 
 @dataclass(frozen=True)

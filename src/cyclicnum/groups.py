@@ -42,23 +42,21 @@ are at most log2 |G| points, 15 under the closure cap.
 ``FiniteGroup.elements``, sorted by image table, is built from closure's
 stages the first time it is read, with about one product per element:
 a stage's left cosets r*H are, inverted, the right cosets H*r^-1, and
-one gather maps H to each.  ``len(G)`` and ``verify``'s order pass read
-only the keys.  A group made by the FiniteGroup constructor has no
-keys; ``_base`` picks points on its element list instead, by the same
-check: while two elements have equal images on the points, it appends
-the first point where they differ.
+one gather maps H to each.  ``len(G)`` and the order pass read only the
+keys.
 
 The order pass follows, for each element h whose order is not yet
 known, h's cycle through each base point.  ord(h) is the lcm of those
 cycle lengths, k, since the key is injective on G, and the key of h^j
-is each cycle's entry at j mod its length, which a dict from key to
-index locates; h^j gets the order k / gcd(k, j).  The pass reads h only
-at the points on those cycles: from G.elements when they exist, else
-through h's representatives and power of g.  Distinct walks generate
+is each cycle's entry at j mod its length, which closure's dict from
+key to element locates; h^j gets the order k / gcd(k, j).  The pass
+reads h only at the points on those cycles, through h's
+representatives and power of g.  Distinct walks generate
 distinct cyclic subgroups, so the pass follows at most sum |C| cycle
 steps per base point over the cyclic subgroups C of G.  Since
 |G| = sum phi(|C|), that is at most |G| * max k/phi(k), under 5 for
-|G| <= 20000.
+|G| <= 20000.  ``max_element_order`` and ``all_element_orders`` run this
+one pass; the latter reads each sorted element's order at its key.
 
 Queries work directly on the permutations at every group size.
 Conjugacy classes and the conjugates of a subgroup are orbits under
@@ -112,18 +110,14 @@ class _ElementSet:
 class FiniteGroup(_ElementSet):
     """A closed set of equal-degree permutations plus its generating set.
 
-    Construct with closure(); the constructor itself trusts its inputs.
-    Immutable once built.  The identity is always elements[0], since its
-    image table sorts first.  A group from closure keeps closure's keyed
-    stages and builds its elements the first time they are read.
+    Only closure() builds groups; FiniteGroup(...) itself raises
+    TypeError.  Immutable once built.  The identity is always
+    elements[0], since its image table sorts first.  A group keeps
+    closure's keyed stages and builds its elements the first time they
+    are read.
     """
 
-    _dimino: _Dimino | None = None
-
-    def __init__(self, degree: int, generators: Sequence[Permutation], elements: Iterable[Permutation]):
-        self.degree = degree
-        self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
+    _dimino: _Dimino
 
     @classmethod
     def _closed(cls, degree: int, generators: Sequence[Permutation], dimino: _Dimino) -> "FiniteGroup":
@@ -138,13 +132,6 @@ class FiniteGroup(_ElementSet):
         return tuple(map(Permutation._trusted, sorted(self._dimino.images())))
 
     @cached_property
-    def _points(self) -> list[int]:
-        """A checked base of G: closure's, or one picked on the elements."""
-        if self._dimino is not None:
-            return self._dimino.base
-        return _base([g.images for g in self.elements])
-
-    @cached_property
     def _conjugations(self) -> list:
         """For each generator b, the map x -> b^-1*x*b, as two gathers."""
         steps = []
@@ -155,7 +142,7 @@ class FiniteGroup(_ElementSet):
         return steps
 
     def __len__(self) -> int:
-        return len(self.elements) if self._dimino is None else self._dimino.size
+        return self._dimino.size
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -249,11 +236,6 @@ def closure(generators: Iterable[Permutation], *, max_size: int = DEFAULT_CLOSUR
     return FiniteGroup._closed(degree, gens, _Dimino([g.images for g in gens], max_size))
 
 
-def _first_difference(x: Sequence[int], y: Sequence[int]) -> int:
-    """The first point where the distinct image tuples x and y differ."""
-    return next(p for p, (u, v) in enumerate(zip(x, y)) if u != v)
-
-
 class _Dimino:
     """Dimino's closure of generator image tuples, on keys.
 
@@ -339,7 +321,7 @@ class _Dimino:
 
     def _extend_base(self, x: tuple[int, ...], y: tuple[int, ...]) -> None:
         """Append a point where the distinct x and y differ, keying every element on it."""
-        p = _first_difference(x, y)
+        p = next(p for p, (u, v) in enumerate(zip(x, y)) if u != v)
         self.base.append(p)
         cyc, s = self.cycle_of[p], self.pos[p]
         column = (cyc[s:] + cyc[:s]) * (self.k // len(cyc))
@@ -466,28 +448,6 @@ def _key(points: Sequence[int]):
     return itemgetter(*points) if points else lambda images: ()
 
 
-def _base(images: Sequence[tuple[int, ...]]) -> list[int]:
-    """Points whose images tell the given distinct image tuples apart.
-
-    Starts with no points and, while two tuples have equal images on the
-    points, appends the first point where they differ, so the result is a
-    base by a check on every tuple, not by assumption.  On the elements of
-    a group G each new point strictly shrinks the pointwise stabilizer of
-    the points, so there are at most log2 |G| of them.
-    """
-    base: list[int] = []
-    while True:
-        key = _key(base)
-        seen: dict = {}
-        for x in images:
-            y = seen.setdefault(key(x), x)
-            if y is not x:
-                base.append(_first_difference(x, y))
-                break
-        else:
-            return base
-
-
 def _power_keys(at: Callable[[int], int], base: Sequence[int]) -> list:
     """The keys on the base of h^0, h^1, ..., h^(k-1), where k = ord(h).
 
@@ -509,25 +469,25 @@ def _power_keys(at: Callable[[int], int], base: Sequence[int]) -> list:
     return list(zip(*[cyc * (k // len(cyc)) for cyc in cycles]))
 
 
-def _order_pass(index: dict, base: Sequence[int], read: Callable[[int], Callable[[int], int]]) -> list[int]:
-    """The order of every element, indexed like the keys index maps to.
+def _order_pass(d: _Dimino) -> list[int]:
+    """The order of every element, in closure's numbering.
 
-    read(i) gives element i's image of a point; the identity is element 0.
-    For each element h whose order is still unknown the pass follows h's
-    cycle through each base point, which gives the keys of h, h^2, ...,
+    For each element h whose order is still unknown the pass reads h
+    point by point through its representatives and follows its cycle
+    through each base point, which gives the keys of h, h^2, ...,
     h^k = e, and sets ord(h^j) = k / gcd(k, j).  A power an earlier walk
     reached gets the same value again, since it is its true order.  No
     product is built and no whole image tuple is hashed.
     """
-    orders = [0] * len(index)
-    orders[0] = 1
+    orders = [0] * d.size
+    orders[0] = 1  # element 0 is g^0, the identity
     shared: dict[int, int] = {}  # one int object per distinct order, not per element
-    for i in range(len(orders)):
+    for i in range(d.size):
         if orders[i]:
             continue
-        powers = _power_keys(read(i), base)
+        powers = _power_keys(d.reader(i), d.base)
         k = len(powers)
-        for j, p in enumerate(map(index.__getitem__, powers[1:]), 1):
+        for j, p in enumerate(map(d.index.__getitem__, powers[1:]), 1):
             order = k // gcd(k, j)
             orders[p] = shared.setdefault(order, order)
     return orders
@@ -536,26 +496,18 @@ def _order_pass(index: dict, base: Sequence[int], read: Callable[[int], Callable
 def all_element_orders(G: FiniteGroup) -> list[int]:
     """The order of every element, indexed like G.elements, in one pass.
 
-    Keys every element by its images on G's checked base (see the module
-    docstring) and runs the order pass on the element list.
+    Runs the order pass on closure's keys (see the module docstring) and
+    reads each sorted element's order at its key, one lookup per element.
     """
-    images = [g.images for g in G.elements]
-    base = G._points
-    index = {k: i for i, k in enumerate(map(_key(base), images))}
-    return _order_pass(index, base, lambda i: images[i].__getitem__)
+    d = G._dimino
+    orders = _order_pass(d)
+    return [orders[d.index[d.key(g.images)]] for g in G.elements]
 
 
 def max_element_order(G: FiniteGroup) -> int:
-    """The largest element order in G, from one order pass.
-
-    On a group from closure the pass runs on closure's keys and reads
-    each walked element through its coset representatives, so no element
-    tuple is built.
-    """
-    d = G._dimino
-    if d is None:
-        return max(all_element_orders(G))
-    return max(_order_pass(d.index, d.base, d.reader))
+    """The largest element order in G, from one order pass on closure's
+    keys, so no element tuple is built."""
+    return max(_order_pass(G._dimino))
 
 
 def is_cyclic(G: FiniteGroup) -> Permutation | None:
@@ -703,9 +655,9 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
     2005); every subgroup is a join of cyclic ones, so the sweep is
     exhaustive.  Works on indices into G.elements, with an index table
-    built from each element's images on a checked base, one lookup per
-    base point per entry (see the module docstring).  Results are sorted
-    by (order, element list).
+    built from each element's images on closure's checked base, one
+    lookup per base point per entry (see the module docstring).  Results
+    are sorted by (order, element list).
     """
     if len(G) > DEFAULT_SUBGROUP_BOUND:
         raise CapacityError(
@@ -713,7 +665,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
             f" (this group has order {len(G)})"
         )
     images = [g.images for g in G.elements]
-    base = G._points
+    base = G._dimino.base
     index = {k: i for i, k in enumerate(map(_key(base), images))}
     # right[b][a] is the index of a*b; the identity is index 0.  a*b sends
     # each base point to a's image of b's image of it, so its key is a's

@@ -213,7 +213,10 @@ class TestRegularRepresentation:
         for n, tables in classes.items():
             for t in tables:
                 G = regular_representation(t)
+                rows = tuple(cn.Permutation(row) for row in t.table)
                 assert len(G) == n
+                assert G.elements == tuple(sorted(rows))
+                assert G.generators == (rows[1:] if n > 1 else rows[:1])
                 assert (cn.is_cyclic(G) is not None) == table_is_cyclic(t)
 
     def test_nonabelian_order_six_matches_witness(self, oracle_pack):

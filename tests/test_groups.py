@@ -59,6 +59,11 @@ class TestClosure:
         with pytest.raises(CapacityError, match=r"\(0 built, degree 3\)"):
             cn.closure([identity(3)], max_size=0)
 
+    def test_only_closure_builds_groups(self):
+        gens = [cycle([0, 1, 2], 3)]
+        with pytest.raises(TypeError):
+            cn.FiniteGroup(3, gens, cn.closure(gens).elements)
+
     def test_rejects_empty_or_mixed_degrees(self):
         with pytest.raises(ValueError):
             cn.closure([])
@@ -502,7 +507,7 @@ class TestAgainstProductOracles:
     checked base checked."""
 
     def assert_orders_match(self, G, label):
-        assert_base([g.images for g in G.elements], label)
+        assert_base(G, label)
         orders = cn.all_element_orders(G)
         assert orders == [cn.perm_order(g) for g in G.elements] == oracle.element_orders(G), label
 
@@ -575,18 +580,18 @@ class TestAgainstProductOracles:
                     assert message in str(info.value), (n, max_size)
 
 
-def assert_base(images, label):
-    """The points _base picks tell the image tuples apart, and there are at
-    most log2 of their number."""
-    base = cn.groups._base(images)
-    assert len({tuple(x[p] for p in base) for x in images}) == len(images), label
-    assert 2 ** len(base) <= len(images), label
+def assert_base(G, label):
+    """Closure's base tells the elements of G apart, and has at most
+    log2 |G| points."""
+    base = G._dimino.base
+    assert len({tuple(g.images[p] for p in base) for g in G.elements}) == len(G), label
+    assert 2 ** len(base) <= len(G), label
     return base
 
 
 class TestCheckedBase:
-    """The order pass and the lattice key each element by its images on the
-    points _base picks; the oracles use whole image tuples.  The order pass
+    """The order pass and the lattice key each element by its images on
+    closure's base; the oracles use whole image tuples.  The order pass
     is compared on the corpus and the witnesses in TestAgainstProductOracles."""
 
     def test_corpus_lattices(self, corpus_subgroups):
@@ -606,7 +611,7 @@ class TestCheckedBase:
         # No base of S3 on 3 points, S4 on 4 points or Z2^3 as three
         # disjoint transpositions has fewer points than given here.
         G = cn.closure(gens)
-        assert len(assert_base([g.images for g in G.elements], len(G))) == points
+        assert len(assert_base(G, len(G))) == points
         orders = cn.all_element_orders(G)
         assert orders == [cn.perm_order(g) for g in G.elements] == oracle.element_orders(G)
         assert [H.elements for H in cn.all_subgroups(G)] == [H.elements for H in oracle.subgroups(G)]
@@ -704,15 +709,14 @@ class TestKeyedClosure:
         G = cn.closure(gens)
         expected = oracle.dimino_closure([g.images for g in gens], 20000)
         assert [g.images for g in G.elements] == expected, label
-        base = G._points
+        base = G._dimino.base
         key = cn.groups._key(base)
         assert len({key(x) for x in expected}) == len(G) == len(expected), label
         assert 2 ** len(base) <= len(G), label
         orders = oracle.element_orders(G)
         assert cn.all_element_orders(G) == orders, label
-        d = G._dimino
-        # The order pass on closure's own keys, reading elements point by point.
-        assert sorted(cn.groups._order_pass(d.index, d.base, d.reader)) == sorted(orders), label
+        # The order pass in closure's numbering, before the sorted lookup.
+        assert sorted(cn.groups._order_pass(G._dimino)) == sorted(orders), label
         assert cn.max_element_order(G) == max(orders), label
         return G
 

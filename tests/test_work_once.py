@@ -14,7 +14,7 @@ import cyclicnum.cli as cli
 import cyclicnum.groups as groups
 import cyclicnum.numtheory as numtheory
 import cyclicnum.perm as perm
-from cyclicnum import build_witness, closure, enumerate_groups, generated_subgroup, verify_certificate
+from cyclicnum import Permutation, build_witness, closure, enumerate_groups, generated_subgroup, verify_certificate
 
 
 def count_calls(monkeypatch, name, *modules):
@@ -55,10 +55,11 @@ def test_verify_computes_each_element_order_once(monkeypatch, n):
 @pytest.mark.parametrize("n", [12, 54, 100, 128])
 def test_order_pass_walks_only_elements_no_earlier_walk_reached(monkeypatch, n):
     G = closure(build_witness(n).generators)
-    # The identity's order is known, so walking starts at elements[1].
+    # The pass walks in closure's numbering, and the identity, element 0,
+    # has a known order.
     reached = {G.elements[0]}
     expected = 0
-    for g in G.elements:
+    for g in map(Permutation, map(G._dimino.images_of, range(n))):
         if g not in reached:
             expected += 1
             reached |= generated_subgroup(G, g)._elem_set
