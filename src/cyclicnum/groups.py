@@ -65,12 +65,14 @@ normalizer tests one element per coset.  Only the subgroup lattice,
 capped at order 64, builds an index multiplication table (|G|^2
 entries), inside the call: a*b sends each base point to a's image of
 b's image of it, so the key of a*b is a's images at b's key, one lookup
-per base point.
+per base point.  The lattice grows by cyclic extension, each subgroup
+an ``_orbit`` of the identity, so ``_orbit`` is the module's one
+breadth-first search.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
@@ -118,6 +120,9 @@ class FiniteGroup(_ElementSet):
     """
 
     _dimino: _Dimino
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("groups are built by closure(), not FiniteGroup()")
 
     @classmethod
     def _closed(cls, degree: int, generators: Sequence[Permutation], dimino: _Dimino) -> "FiniteGroup":
@@ -651,13 +656,16 @@ def conjugate_only_to_powers(G: FiniteGroup, f: Permutation) -> bool:
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, for groups of order up to DEFAULT_SUBGROUP_BOUND (64).
 
-    Seeds with the cyclic subgroups and saturates under pairwise join
-    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
-    2005); every subgroup is a join of cyclic ones, so the sweep is
-    exhaustive.  Works on indices into G.elements, with an index table
-    built from each element's images on closure's checked base, one
-    lookup per base point per entry (see the module docstring).  Results
-    are sorted by (order, element list).
+    Cyclic extension (Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005): each subgroup found, starting
+    from the cyclic ones, is joined with every cyclic subgroup it lacks.
+    A chain of such joins reaches every <x1, ..., xr>, so the sweep is
+    exhaustive, with at most |G| + S*C orbits for S subgroups and C
+    cyclic ones.  A join is the ``_orbit`` of the identity under right
+    multiplication by the subgroup's generators and the new one, on
+    indices into G.elements, from an index table keyed on closure's
+    checked base (see the module docstring).  Results are sorted by
+    (order, element list).
     """
     if len(G) > DEFAULT_SUBGROUP_BOUND:
         raise CapacityError(
@@ -672,33 +680,20 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     # images at b's key.
     right = [[index[k] for k in map(_key([b[p] for p in base]), images)] for b in images]
 
-    def close(seed: Collection[int]) -> frozenset[int]:
-        """Subgroup of indices generated by the seed indices."""
-        steps = [right[b] for b in seed]
-        els = {0, *seed}
-        frontier = list(els)
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for step in steps:
-                    c = step[a]
-                    if c not in els:
-                        els.add(c)
-                        fresh.append(c)
-            frontier = fresh
-        return frozenset(els)
+    def generated(gens: tuple[int, ...]) -> frozenset[int]:
+        return frozenset(_orbit(0, [right[b].__getitem__ for b in gens]))
 
-    known = {close([i]) for i in range(len(images))}
+    cyclic = {generated((i,)): i for i in range(len(images))}
+    known = {C: (c,) for C, c in cyclic.items()}
     work = list(known)
-    while work:
-        a = work.pop()
-        for b in list(known):
-            if a <= b or b <= a:
-                continue
-            joined = close(a | b)
-            if joined not in known:
-                known.add(joined)
-                work.append(joined)
+    for H in work:  # grows while it is read
+        for c in cyclic.values():
+            if c not in H:
+                gens = known[H] + (c,)
+                joined = generated(gens)
+                if joined not in known:
+                    known[joined] = gens
+                    work.append(joined)
     elements = G.elements
     subs = [Subgroup._trusted(G, (elements[i] for i in idxs)) for idxs in known]
     subs.sort(key=lambda H: (len(H), H.elements))

@@ -140,7 +140,9 @@ def element_orders(G):
 
 def subgroups(G):
     """Every subgroup of G, sorted by (order, element list), from an index
-    table of whole image tuples: right[b][a] is the index of a*b."""
+    table of whole image tuples: right[b][a] is the index of a*b.  The
+    cyclic subgroups are saturated under pairwise join, unlike the
+    cyclic extension of ``groups.all_subgroups``."""
     keys = [g.images for g in G.elements]
     index = {x: i for i, x in enumerate(keys)}
     right = [[index[x] for x in map(_gather(b), keys)] for b in keys]

@@ -139,6 +139,13 @@ class TestVerify:
         assert rc == 2 and out == ""
         assert "group closure exceeded the cap of 60 elements (50 built, degree 52)" in err
 
+    def test_default_closure_cap_refuses_a_large_witness(self, capsys):
+        # The witness of 950309 = 97^2 * 101 has degree 9894, inside the
+        # default degree cap, but its group is past the default closure cap.
+        rc, out, err = run(capsys, "verify", "950309")
+        assert rc == 2 and out == ""
+        assert err == "error: group closure exceeded the cap of 20000 elements (19594 built, degree 9894)\n"
+
     def test_tampered_certificate_fails_mathematically(self, capsys, tmp_path):
         path = tmp_path / "w6.json"
         run(capsys, "witness", "6", "--out", str(path))

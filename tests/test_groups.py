@@ -63,6 +63,8 @@ class TestClosure:
         gens = [cycle([0, 1, 2], 3)]
         with pytest.raises(TypeError):
             cn.FiniteGroup(3, gens, cn.closure(gens).elements)
+        with pytest.raises(TypeError, match=r"closure\(\)"):
+            cn.FiniteGroup()
 
     def test_rejects_empty_or_mixed_degrees(self):
         with pytest.raises(ValueError):
@@ -580,6 +582,11 @@ class TestAgainstProductOracles:
                     assert message in str(info.value), (n, max_size)
 
 
+def elementary_abelian_2(k):
+    """Z2^k as k disjoint transpositions on 2k points."""
+    return [cycle([2 * i, 2 * i + 1], 2 * k) for i in range(k)]
+
+
 def assert_base(G, label):
     """Closure's base tells the elements of G apart, and has at most
     log2 |G| points."""
@@ -603,18 +610,29 @@ class TestCheckedBase:
         [
             ([cycle([0, 1], 3), cycle([0, 1, 2], 3)], 2),
             ([cycle([0, 1], 4), cycle([0, 1, 2, 3], 4)], 3),
-            ([cycle([0, 1], 6), cycle([2, 3], 6), cycle([4, 5], 6)], 3),
+            (elementary_abelian_2(3), 3),
+            (elementary_abelian_2(4), 4),
+            (elementary_abelian_2(5), 5),
         ],
-        ids=["S3", "S4", "Z2^3"],
+        ids=["S3", "S4", "Z2^3", "Z2^4", "Z2^5"],
     )
     def test_groups_that_need_several_points(self, gens, points):
-        # No base of S3 on 3 points, S4 on 4 points or Z2^3 as three
-        # disjoint transpositions has fewer points than given here.
+        # No base of S3 on 3 points, S4 on 4 points or Z2^k as k disjoint
+        # transpositions has fewer points than given here.
         G = cn.closure(gens)
         assert len(assert_base(G, len(G))) == points
         orders = cn.all_element_orders(G)
         assert orders == [cn.perm_order(g) for g in G.elements] == oracle.element_orders(G)
         assert [H.elements for H in cn.all_subgroups(G)] == [H.elements for H in oracle.subgroups(G)]
+
+    def test_lattice_of_order_64(self):
+        # The subspaces of F2^6: 1+63+651+1395+651+63+1, and the maximal
+        # ones are the 63 hyperplanes.  The oracle takes about 80 s here.
+        G = cn.closure(elementary_abelian_2(6))
+        assert len(cn.all_subgroups(G)) == 2825
+        maxima = cn.maximal_subgroups(G)
+        assert len(maxima) == 63
+        assert {len(H) for H in maxima} == {32}
 
 
 class TestProofArithmetic:

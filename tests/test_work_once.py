@@ -110,6 +110,18 @@ def test_order_pass_and_lattice_take_no_products(monkeypatch, n):
     assert products == []
 
 
+@pytest.mark.parametrize("k", [5, 6])
+def test_lattice_joins_each_subgroup_once_per_cyclic_subgroup(monkeypatch, k):
+    # Cyclic extension: one orbit per element for the cyclic subgroups,
+    # then at most one per (subgroup, cyclic subgroup) pair.  Z2^k as k
+    # disjoint transpositions.
+    G = closure([perm.cycle([2 * i, 2 * i + 1], 2 * k) for i in range(k)])
+    cyclic = {generated_subgroup(G, g) for g in G.elements}
+    orbits = count_calls(monkeypatch, "_orbit", groups)
+    subgroups = groups.all_subgroups(G)
+    assert len(G) <= len(orbits) <= len(G) + len(subgroups) * len(cyclic)
+
+
 @pytest.mark.parametrize("n", [1432, 2310])
 def test_closure_takes_one_product_per_element_on_large_witnesses(monkeypatch, n):
     gens = build_witness(n).generators
