@@ -26,10 +26,10 @@ from .groups import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_SUBGROUP_BOUND,
     FiniteGroup,
-    all_element_orders,
-    center,
+    _least_generator,
+    _orbit,
+    _order_pass,
     closure,
-    conjugacy_class,
     count_conjugate_subgroups,
     is_abelian,
     maximal_subgroups,
@@ -231,30 +231,28 @@ def cmd_verify(args) -> int:
     return _report(args, payload, lines, 0 if report.passed else 1)
 
 
-def _conjugacy_classes(G: FiniteGroup):
-    """Each conjugacy class of G once, in order of its least element."""
-    seen: set = set()
-    for g in G.elements:
-        if g not in seen:
-            cls = conjugacy_class(G, g)
-            seen.update(cls)
-            yield cls
-
-
 def _analyze_group(G: FiniteGroup) -> dict:
-    orders = all_element_orders(G)
-    # The first element of order |G| in canonical order, as is_cyclic returns.
-    gen = next((g for g, k in zip(G.elements, orders) if k == len(G)), None)
+    d = G._dimino
+    orders = _order_pass(d)
+    # The least element of order |G| in image order, as is_cyclic returns.
+    gen = _least_generator(d, orders)
     histogram = Counter(orders)
+    sizes, seen = [], set()
+    for i in range(len(G)):  # one orbit on element numbers per conjugacy class
+        if i not in seen:
+            cls = _orbit(i, G._conjugations)
+            seen |= cls
+            sizes.append(len(cls))
     info = {
         "degree": G.degree,
         "order": len(G),
         "cyclic": gen is not None,
-        "generator": list(gen.images) if gen is not None else None,
+        "generator": list(d.images_of(gen)) if gen is not None else None,
         "abelian": is_abelian(G),
         "element_orders": {str(k): histogram[k] for k in sorted(histogram)},
-        "center_size": len(center(G)),
-        "conjugacy_class_sizes": sorted(len(cls) for cls in _conjugacy_classes(G)),
+        # An element is central exactly when its class is itself alone.
+        "center_size": sizes.count(1),
+        "conjugacy_class_sizes": sorted(sizes),
         "maximal_subgroups": None,
     }
     if len(G) <= DEFAULT_SUBGROUP_BOUND:

@@ -58,16 +58,18 @@ steps per base point over the cyclic subgroups C of G.  Since
 |G| <= 20000.  ``max_element_order`` and ``all_element_orders`` run this
 one pass; the latter reads each sorted element's order at its key.
 
-Queries work directly on the permutations at every group size.
-Conjugacy classes and the conjugates of a subgroup are orbits under
-conjugation by the generators alone, so neither sweeps all of G, and a
-normalizer tests one element per coset.  Only the subgroup lattice,
-capped at order 64, builds an index multiplication table (|G|^2
-entries), inside the call: a*b sends each base point to a's image of
-b's image of it, so the key of a*b is a's images at b's key, one lookup
-per base point.  The lattice grows by cyclic extension, each subgroup
-an ``_orbit`` of the identity, so ``_orbit`` is the module's one
-breadth-first search.
+Conjugation runs on closure's element numbers: for a generator b,
+b^-1*x*b sends a base point p to b^-1(x(b(p))), so |base| reads of x
+and one lookup give its number, with no product.  The center is the
+numbers all these maps fix.  Conjugacy classes and the conjugates of a
+subgroup are their orbits, reached without a sweep over G; permutations
+are built only for what a public function returns.  A normalizer tests
+one element per coset.  Only the subgroup lattice, capped at order 64,
+builds an index multiplication table (|G|^2 entries), inside the call:
+a*b sends each base point to a's image of b's image of it, so the key
+of a*b is a's images at b's key, one lookup per base point.  The
+lattice grows by cyclic extension, each subgroup an ``_orbit`` of the
+identity, so ``_orbit`` is the module's one breadth-first search.
 """
 
 from __future__ import annotations
@@ -137,12 +139,16 @@ class FiniteGroup(_ElementSet):
         return tuple(map(Permutation._trusted, sorted(self._dimino.images())))
 
     @cached_property
-    def _conjugations(self) -> list:
-        """For each generator b, the map x -> b^-1*x*b, as two gathers."""
+    def _conjugations(self) -> list[Callable[[int], int]]:
+        """For each generator b, the map from element number i to the number
+        of b^-1*x_i*b, which sends a base point p to b^-1[x_i[b[p]]]."""
+        d = self._dimino
+        shape = _key(range(len(d.base)))  # a list of images at the base, as a key
         steps = []
         for b in self.generators:
-            def step(x, ib=b.inverse().images, after_b=_gather(b.images)):
-                return Permutation._trusted(after_b(_gather(x.images)(ib)))
+            def step(i, ib=b.inverse().images, b_base=[b.images[p] for p in d.base]):
+                at = d.reader(i)
+                return d.index[shape([ib[at(y)] for y in b_base])]
             steps.append(step)
         return steps
 
@@ -515,13 +521,16 @@ def max_element_order(G: FiniteGroup) -> int:
     return max(_order_pass(G._dimino))
 
 
+def _least_generator(d: _Dimino, orders: Sequence[int]) -> int | None:
+    """The number of the least element of order |G| in image order, or None."""
+    return min((i for i, k in enumerate(orders) if k == d.size), key=d.images_of, default=None)
+
+
 def is_cyclic(G: FiniteGroup) -> Permutation | None:
     """A generator of G if G is cyclic (the canonically smallest one), else None."""
-    n = len(G)
-    for g, k in zip(G.elements, all_element_orders(G)):
-        if k == n:
-            return g
-    return None
+    d = G._dimino
+    i = _least_generator(d, _order_pass(d))
+    return None if i is None else Permutation._trusted(d.images_of(i))
 
 
 def is_abelian(G: FiniteGroup) -> bool:
@@ -547,12 +556,12 @@ def left_cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[Permutation, ...]]:
 def center(G: FiniteGroup) -> Subgroup:
     """Elements commuting with everything in G.
 
-    Commuting with every generator is equivalent and much cheaper than a
-    full pairwise scan.
+    Commuting with every generator b is equivalent, and that is
+    b^-1*x*b = x: the element numbers every conjugation map fixes.
     """
-    gens = G.generators
-    members = [a for a in G.elements if all(a * g == g * a for g in gens)]
-    return Subgroup._trusted(G, members)
+    d, steps = G._dimino, G._conjugations
+    members = [i for i in range(d.size) if all(step(i) == i for step in steps)]
+    return Subgroup._trusted(G, (Permutation._trusted(d.images_of(i)) for i in members))
 
 
 def subset_product(X: Subgroup | Iterable[Permutation], Y: Subgroup | Iterable[Permutation]) -> frozenset[Permutation]:
@@ -590,9 +599,11 @@ def _orbit(start, steps) -> set:
 
 
 def conjugacy_class(G: FiniteGroup, g: Permutation) -> frozenset[Permutation]:
-    """All b^-1*g*b, as the orbit of g under conjugation by the generators."""
+    """All b^-1*g*b, as the orbit of g's number under conjugation by the generators."""
     _require_member(G, g)
-    return frozenset(_orbit(g, G._conjugations))
+    d = G._dimino
+    orbit = _orbit(d.index[d.key(g.images)], G._conjugations)
+    return frozenset(Permutation._trusted(d.images_of(i)) for i in orbit)
 
 
 def conjugate_subgroup(G: FiniteGroup, F: Subgroup, b: Permutation) -> Subgroup:
@@ -616,11 +627,12 @@ def normalizer(G: FiniteGroup, F: Subgroup) -> Subgroup:
     return Subgroup._trusted(G, keep)
 
 
-def _conjugates(G: FiniteGroup, F: Subgroup) -> set[frozenset[Permutation]]:
-    """The distinct conjugates of F, each without the identity, as the
-    orbit of F under conjugation by the generators."""
+def _conjugates(G: FiniteGroup, F: Subgroup) -> set[frozenset[int]]:
+    """The distinct conjugates of F, each as element numbers without the
+    identity, as the orbit of F under conjugation by the generators."""
+    d = G._dimino
     steps = [lambda S, c=c: frozenset(map(c, S)) for c in G._conjugations]
-    return _orbit(frozenset(F.elements[1:]), steps)
+    return _orbit(frozenset(d.index[d.key(f.images)] for f in F.elements[1:]), steps)
 
 
 def count_conjugate_subgroups(G: FiniteGroup, F: Subgroup) -> int:
@@ -633,7 +645,7 @@ def noncentral_union_size(G: FiniteGroup, F: Subgroup) -> int:
     """Count of non-central elements of G in the union of all conjugates of F."""
     _require_subgroup_of(G, F)
     union = set().union(*_conjugates(G, F))
-    return len(union - center(G)._elem_set)
+    return sum(1 for i in union if any(c(i) != i for c in G._conjugations))
 
 
 def minimal_power_in_subgroup(G: FiniteGroup, h: Permutation, F: Subgroup) -> int:

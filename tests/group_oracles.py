@@ -18,6 +18,15 @@ lattice's index table with one gather per element and a dict of whole
 tuples.  ``cyclicnum.groups`` keys every element by its images on a
 checked base instead, and builds no product for either.
 
+``conjugations``, ``conjugacy_classes``, ``conjugates``, ``center`` and
+``is_cyclic`` work on whole image tuples over G.elements: each
+conjugation step is two gathers on a Permutation, classes and the
+conjugates of a subgroup are orbits of those steps, the center is every
+element that commutes with each generator, and the generator is the
+first sorted element of order |G|.  ``cyclicnum.groups`` runs the same
+conjugation maps on closure's element numbers, reading |base| points of
+an element, and finds the generator among element numbers.
+
 The rest sweep all of G: the normalizer tests every element, and the
 conjugates of a subgroup or an element are taken over every b in G.
 ``cyclicnum.groups`` computes the same answers with one test per coset
@@ -166,6 +175,55 @@ def subgroups(G):
                 work.append(joined)
     subs = [Subgroup._trusted(G, (G.elements[i] for i in idxs)) for idxs in known]
     return sorted(subs, key=lambda H: (len(H), H.elements))
+
+
+def conjugations(G):
+    """For each generator b, the map x -> b^-1*x*b on Permutations, as two gathers."""
+    steps = []
+    for b in G.generators:
+        def step(x, ib=b.inverse().images, after_b=_gather(b.images)):
+            return Permutation._trusted(after_b(_gather(x.images)(ib)))
+        steps.append(step)
+    return steps
+
+
+def orbit(start, steps):
+    """Everything reachable from start by the step maps, breadth first."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [y for y in {step(x) for x in frontier for step in steps} if y not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def conjugacy_classes(G):
+    """The orbits of G.elements under the generators' conjugation maps,
+    in order of their least element."""
+    steps = conjugations(G)
+    classes = []
+    seen = set()
+    for g in G.elements:
+        if g not in seen:
+            classes.append(frozenset(orbit(g, steps)))
+            seen |= classes[-1]
+    return classes
+
+
+def conjugates(G, F):
+    """The element sets of the conjugates of F, as the orbit of F's under
+    the generators' conjugation maps."""
+    steps = [lambda S, c=c: frozenset(map(c, S)) for c in conjugations(G)]
+    return orbit(frozenset(F.elements), steps)
+
+
+def center(G):
+    """The elements of G that commute with every generator."""
+    return {a for a in G.elements if all(a * g == g * a for g in G.generators)}
+
+
+def is_cyclic(G):
+    """The first element of G.elements of order |G|, or None."""
+    return next((g for g, k in zip(G.elements, element_orders(G)) if k == len(G)), None)
 
 
 def normalizer(G, F):

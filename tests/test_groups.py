@@ -7,6 +7,7 @@ recomputable by direct scans.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import cyclicnum as cn
 import group_oracles as oracle
 from cyclicnum import CapacityError, Permutation, Subgroup, cycle, identity
+from cyclicnum.cli import _analyze_group
 
 
 @pytest.fixture(scope="module")
@@ -177,9 +179,10 @@ class TestCenter:
         assert len(cn.center(q8)) == 2
 
     def test_matches_full_commutation_scan(self, s3, d4, q8, w30):
+        # Also checks oracle.center, which the sweep tests compare against.
         for G in (s3, d4, q8, w30):
             slow = {a for a in G if all(a * b == b * a for b in G)}
-            assert set(cn.center(G).elements) == slow
+            assert set(cn.center(G).elements) == slow == oracle.center(G)
 
 
 class TestSubsetProduct:
@@ -315,6 +318,35 @@ class TestSubgroupEnumeration:
             counts = sorted(len(cn.all_subgroups(cn.regular_representation(t))) for t in tables)
             assert counts == expected[n], n
 
+    def test_dihedral_counts_in_closed_form(self):
+        # D_n, of order 2n, has tau(n) + sigma(n) subgroups: one cyclic
+        # subgroup of order d and n/d dihedral ones of order 2d for each
+        # divisor d of n.
+        for n in range(3, 33):
+            rotation = cycle(range(n), n)
+            reflection = Permutation([-i % n for i in range(n)])
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            G = cn.closure([rotation, reflection])
+            assert len(cn.all_subgroups(G)) == len(divisors) + sum(divisors), n
+
+    def test_product_of_two_cyclic_groups_counts_in_closed_form(self):
+        # Z_m x Z_n has sum gcd(a, b) subgroups over a | m and b | n
+        # (Hampejs, Holighaus, Toth and Wiesmeyr 2014).
+        for m in range(2, 9):
+            for n in range(m, 64 // m + 1):
+                G = cn.closure([cycle(range(m), m + n), cycle(range(m, m + n), m + n)])
+                expected = sum(
+                    math.gcd(a, b)
+                    for a in range(1, m + 1) if m % a == 0
+                    for b in range(1, n + 1) if n % b == 0
+                )
+                assert len(cn.all_subgroups(G)) == expected, (m, n)
+
+    def test_elementary_abelian_3_cubed(self):
+        # The subspaces of F3^3: 1 + 13 lines + 13 planes + 1.
+        G = cn.closure([cycle([3 * i, 3 * i + 1, 3 * i + 2], 9) for i in range(3)])
+        assert len(cn.all_subgroups(G)) == 28
+
     def test_subgroups_revalidate_publicly(self, d4):
         for H in cn.all_subgroups(d4):
             assert Subgroup(d4, H.elements).elements == H.elements
@@ -433,10 +465,30 @@ class TestConjugateOnlyToPowers:
 
 
 class TestAgainstSweepOracles:
-    """Orbit and coset computations against sweeps over all of G."""
+    """Orbit and coset computations against sweeps over all of G, and the
+    conjugation maps on element numbers against the same maps on whole
+    image tuples."""
+
+    def assert_matches_conjugation_oracles(self, G, subgroups, label):
+        """The center, is_cyclic, the class partition (also analyze's) and
+        the conjugate counts against the same maps on whole image tuples;
+        returns the oracle's center."""
+        Z = oracle.center(G)
+        assert set(cn.center(G).elements) == Z, label
+        assert cn.is_cyclic(G) == oracle.is_cyclic(G), label
+        classes = oracle.conjugacy_classes(G)
+        assert [cn.conjugacy_class(G, min(cls)) for cls in classes] == classes, label
+        report = _analyze_group(G)
+        assert report["conjugacy_class_sizes"] == sorted(map(len, classes)), label
+        assert report["center_size"] == len(Z), label
+        for F in subgroups:
+            conjugates = oracle.conjugates(G, F)
+            assert cn.count_conjugate_subgroups(G, F) == len(conjugates), label
+            assert cn.noncentral_union_size(G, F) == len(set().union(*conjugates) - Z), label
+        return Z
 
     def assert_matches_oracles(self, G, subgroups, elements, label):
-        Z = cn.center(G)._elem_set
+        Z = self.assert_matches_conjugation_oracles(G, subgroups, label)
         for F in subgroups:
             assert set(cn.normalizer(G, F).elements) == oracle.normalizer(G, F), label
             conjugates = oracle.conjugate_subgroups(G, F)
@@ -450,19 +502,38 @@ class TestAgainstSweepOracles:
         for name, (G, subgroups) in corpus_subgroups.items():
             self.assert_matches_oracles(G, subgroups, G.elements, name)
 
+    def test_witnesses_up_to_200(self, witness_closures):
+        # One cyclic subgroup of each element order; each one's closure
+        # has several generators for is_cyclic to choose among.
+        for n, (gens, _) in witness_closures.items():
+            if n > 200:
+                continue
+            G = cn.closure(gens)
+            elements = first_of_each_order(G, n)
+            subgroups = [cn.generated_subgroup(G, g) for g in elements]
+            self.assert_matches_conjugation_oracles(G, subgroups, n)
+            for g in elements:
+                K = cn.closure([g])
+                assert cn.is_cyclic(K) == oracle.is_cyclic(K), (n, g)
+
     @pytest.mark.parametrize("n", [546, 1014])
     def test_groups_above_512_elements(self, n):
         # 546: S3 x Z91 (arrow witness); 1014: Z13 x Z78 (square witness).
         # One cyclic subgroup of each order up to 13 keeps the sweeps short.
         G = cn.closure(cn.build_witness(n).generators)
         assert len(G) == n > 512
-        first_of_order = {}
-        for g in G.elements:
-            first_of_order.setdefault(cn.element_order(G, g), g)
-        elements = [g for k, g in sorted(first_of_order.items()) if 1 < k <= 13]
+        elements = first_of_each_order(G, 13)
         subgroups = [cn.generated_subgroup(G, g) for g in elements]
         assert len(subgroups) == 4
         self.assert_matches_oracles(G, subgroups, elements, n)
+
+
+def first_of_each_order(G, up_to):
+    """The first element of G of each order k with 1 < k <= up_to."""
+    first_of_order = {}
+    for g, k in zip(G.elements, cn.all_element_orders(G)):
+        first_of_order.setdefault(k, g)
+    return [g for k, g in sorted(first_of_order.items()) if 1 < k <= up_to]
 
 
 @pytest.fixture(scope="module")

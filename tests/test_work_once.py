@@ -150,7 +150,7 @@ def write_witness(tmp_path, n):
 @pytest.mark.parametrize("n", [6, 54, 128])
 def test_analyze_computes_each_element_order_once(monkeypatch, capsys, tmp_path, n):
     path = write_witness(tmp_path, n)
-    passes = count_calls(monkeypatch, "_order_pass", groups)
+    passes = count_calls(monkeypatch, "_order_pass", groups, cli)
     singles = count_calls(monkeypatch, "perm_order", perm, groups)
     assert cli.main(["analyze", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == n
@@ -160,12 +160,25 @@ def test_analyze_computes_each_element_order_once(monkeypatch, capsys, tmp_path,
 
 @pytest.mark.parametrize("n", [6, 54])
 def test_analyze_builds_each_conjugacy_class_once(monkeypatch, capsys, tmp_path, n):
+    # Each class is one orbit on element numbers, taken where cli imports
+    # _orbit; the lattice's and the conjugate counts' orbits run in groups.
     path = write_witness(tmp_path, n)
-    calls = count_calls(monkeypatch, "conjugacy_class", cli, groups)
+    calls = count_calls(monkeypatch, "_orbit", cli)
     assert cli.main(["analyze", str(path), "--json"]) == 0
     sizes = json.loads(capsys.readouterr().out)["conjugacy_class_sizes"]
     assert sum(sizes) == n
     assert len(calls) == len(sizes)
+
+
+@pytest.mark.parametrize("n", [128, 2310])
+def test_analyze_above_order_64_builds_no_element_list(monkeypatch, capsys, tmp_path, n):
+    # Above the lattice's bound every query runs on closure's element
+    # numbers; only the generator it prints is built as a whole tuple.
+    path = write_witness(tmp_path, n)
+    calls = count_calls(monkeypatch, "images", groups._Dimino)
+    assert cli.main(["analyze", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == n > groups.DEFAULT_SUBGROUP_BOUND
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [54, 62, 128])
