@@ -6,8 +6,9 @@ permutations or number theory, and ``tests/test_layers.py`` checks that.
 The glue that realizes a table as a permutation group or compares the
 enumeration with the gcd test lives in ``crosscheck``.  Tables are n x n
 grids over {0..n-1} with 0 as the identity; the search fixes row 0 and
-column 0, keeps rows and columns Latin with bitmasks, and rejects an
-entry as soon as it completes any non-associative triple.
+column 0, keeps rows and columns Latin with bitmasks, and propagates
+associativity: each entry it sets fills every cell that a triple with
+three known cells forces, and a clash rejects the branch.
 
 Tables are deduplicated up to relabeling by a canonical form, the
 lexicographically least identity-fixing relabeling.  It is found by
@@ -16,10 +17,13 @@ are handed out in order of first appearance while the table is read row
 by row, so row 1 names every element and only the choices of new header
 elements branch.  The same first-appearance rule bounds row 1 of every
 canonical table, and the search only builds tables that satisfy it
-(71 of the 2760 identity-fixed tables at order 8).
+(71 of the 2760 identity-fixed tables at order 8).  A candidate is
+first tested against the classes found so far with its element orders,
+by the same relabeling walk held to a class's canonical form, so only
+one canonical form is computed per class.
 
-Orders up to 9 take a fraction of a second; order 10 takes seconds,
-which is why going past the default cap warns.
+Order 10 takes about 0.1 s and order 12 a few seconds, which is why
+going past the default cap warns and the hard cap stops at 12.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from .errors import CapacityError
 
 DEFAULT_ORDER_CAP = 8
-HARD_ORDER_CAP = 10
+HARD_ORDER_CAP = 12
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -87,56 +91,19 @@ class CayleyTable:
         return f"<CayleyTable of order {len(self.table)}>"
 
 
-def _consistent(n: int, t: list[int], pre: list[list[tuple[int, int]]], i: int, j: int, v: int) -> bool:
-    """With t[i][j] tentatively v, is every fully determined triple associative?
-
-    A triple (a, b, c) touches four cells: (a, b), (b, c), (a*b, c) and
-    (a, b*c).  Each family below catches the case where (i, j) plays one
-    of those roles; pre[x] lists the filled cells whose product is x, so
-    the last two families are direct lookups instead of scans.  Triples
-    with a 0 in them hold by the identity axiom, hence the loops from 1.
-    """
-    base_i = i * n
-    base_j = j * n
-    base_v = v * n
-    for c in range(1, n):
-        q = t[base_j + c]
-        if q >= 0:
-            lhs = t[base_v + c]
-            if lhs >= 0:
-                rhs = t[base_i + q]
-                if rhs >= 0 and lhs != rhs:
-                    return False
-    for base_a in range(n, n * n, n):
-        p = t[base_a + i]
-        if p >= 0:
-            rhs = t[base_a + v]
-            if rhs >= 0:
-                lhs = t[p * n + j]
-                if lhs >= 0 and lhs != rhs:
-                    return False
-    for a, b in pre[i]:
-        q = t[b * n + j]
-        if q >= 0:
-            rhs = t[a * n + q]
-            if rhs >= 0 and rhs != v:
-                return False
-    for b, c in pre[j]:
-        p = t[base_i + b]
-        if p >= 0:
-            lhs = t[p * n + c]
-            if lhs >= 0 and lhs != v:
-                return False
-    return True
-
-
 def _candidate_tables(n: int) -> list[Table]:
     """Every group table on {0..n-1} with identity 0 that could be canonical.
 
-    A backtracker over the interior cells in row-major order.  A canonical
-    table names its labels in row 1 in first-appearance order (see
-    canonical_form), so entry (1, j) is at most one more than the largest
-    label named so far: j itself or any earlier entry of row 1.
+    A backtracker over the interior cells in row-major order that fills
+    forced cells instead of branching on them.  A triple (a, b, c) touches
+    four cells: (a, b), (b, c), (a*b, c) and (a, b*c).  Once three of them
+    are known, associativity names the fourth, so ``assign`` pushes it as
+    a forced assignment, and a clash with a known cell or with a row's or
+    column's used values rejects the branch; ``trail`` undoes it.  A
+    canonical table names its labels in row 1 in first-appearance order
+    (see canonical_form), so entry (1, j) is at most one more than the
+    largest label named so far: j itself or any earlier entry of row 1.
+    The walk checks that bound on forced row-1 cells as it passes them.
     """
     t = [-1] * (n * n)
     for j in range(n):
@@ -148,35 +115,114 @@ def _candidate_tables(n: int) -> list[Table]:
     pre: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     rowmask = [(1 << n) - 1] + [1 << i for i in range(1, n)]
     colmask = [(1 << n) - 1] + [1 << j for j in range(1, n)]
-    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    trail: list[int] = []  # the positions filled so far, in order
     out: list[Table] = []
     limit = (1 << n) - 1
+    last = n * n
+    inner = range(1, n)
+    # One shared (row, column) tuple per cell, and forced assignments
+    # queued as the int position * n + value: propagation allocates no tuple.
+    cells = [divmod(pos, n) for pos in range(last)]
 
-    def fill(depth: int) -> None:
-        if depth == len(cells):
+    def assign(pos: int, v: int) -> bool:
+        """Set the cell at pos to v and every cell that forces; False on a clash."""
+        queue = [pos * n + v]
+        push = queue.append
+        while queue:
+            pos, v = divmod(queue.pop(), n)
+            x, y = cells[pos]
+            if t[pos] >= 0:
+                if t[pos] != v:
+                    return False
+                continue
+            bit = 1 << v
+            if (rowmask[x] | colmask[y]) & bit:
+                return False
+            t[pos] = v
+            rowmask[x] |= bit
+            colmask[y] |= bit
+            pre[v].append(cells[pos])
+            trail.append(pos)
+            # (x, y) as each of the four cells of a triple; lhs is
+            # (a*b)*c and rhs is a*(b*c).  The border is always known, so
+            # no push lands on row 0 or column 0.
+            bx, by, bv = x * n, y * n, v * n
+            for c in inner:  # as (a, b): a*b = v
+                q = t[by + c]
+                if q >= 0:
+                    lhs, rhs = t[bv + c], t[bx + q]
+                    if lhs < 0:
+                        if rhs >= 0:
+                            push((bv + c) * n + rhs)
+                    elif rhs < 0:
+                        push((bx + q) * n + lhs)
+                    elif lhs != rhs:
+                        return False
+            for ba in range(n, last, n):  # as (b, c): b*c = v
+                p = t[ba + x]
+                if p >= 0:
+                    lhs, rhs = t[p * n + y], t[ba + v]
+                    if lhs < 0:
+                        if rhs >= 0:
+                            push((p * n + y) * n + rhs)
+                    elif rhs < 0:
+                        push((ba + v) * n + lhs)
+                    elif lhs != rhs:
+                        return False
+            for a, b in pre[x]:  # as (a*b, c)
+                q = t[b * n + y]
+                if q >= 0:
+                    rhs = t[a * n + q]
+                    if rhs < 0:
+                        push((a * n + q) * n + v)
+                    elif rhs != v:
+                        return False
+            for b, c in pre[y]:  # as (a, b*c)
+                p = t[bx + b]
+                if p >= 0:
+                    lhs = t[p * n + c]
+                    if lhs < 0:
+                        push((p * n + c) * n + v)
+                    elif lhs != v:
+                        return False
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            pos = trail.pop()
+            v = t[pos]
+            t[pos] = -1
+            pre[v].pop()
+            bit = 1 << v
+            x, y = cells[pos]
+            rowmask[x] ^= bit
+            colmask[y] ^= bit
+
+    def fill(pos: int, top: int) -> None:
+        # Pass the filled cells, checking row 1's bound on each; top is
+        # the largest label row 1 has named so far.
+        while pos < last and t[pos] >= 0:
+            if pos < 2 * n:
+                if t[pos] > max(pos - n, top) + 1:
+                    return
+                top = max(top, t[pos])
+            pos += 2 if pos % n == n - 1 else 1
+        if pos >= last:
             out.append(tuple(tuple(t[i * n : (i + 1) * n]) for i in range(n)))
             return
-        i, j = cells[depth]
+        i, j = cells[pos]
         avail = ~(rowmask[i] | colmask[j]) & limit
         if i == 1:
-            avail &= (4 << max(j, *t[n : n + j])) - 1
-        pos = i * n + j
+            avail &= (4 << max(j, top)) - 1
+        mark = len(trail)
         while avail:
             bit = avail & -avail
             avail ^= bit
-            v = bit.bit_length() - 1
-            t[pos] = v
-            if _consistent(n, t, pre, i, j, v):
-                pre[v].append((i, j))
-                rowmask[i] |= bit
-                colmask[j] |= bit
-                fill(depth + 1)
-                rowmask[i] ^= bit
-                colmask[j] ^= bit
-                pre[v].pop()
-            t[pos] = -1
+            if assign(pos, bit.bit_length() - 1):
+                fill(pos, top)
+            undo(mark)
 
-    fill(0)
+    fill(n + 1, 1)
     return out
 
 
@@ -262,6 +308,60 @@ def _canonical_form(table: Table) -> Table:
     return tuple(best)
 
 
+def _isomorphic(table: Table, canon: Table) -> bool:
+    """Whether some identity-fixing relabeling of a group table gives canon.
+
+    canon is a canonical form.  The relabeling walk of _canonical_form
+    runs with its row 1 held equal to canon's, so each new element of
+    row 1 must get canon's next label.  After each new label the branch
+    is cut when a product of two labeled elements has a label other than
+    canon's entry, or none while canon's entry is a label already used.
+    The walk stops at the first relabeling that reproduces canon.
+    """
+    n = len(table)
+    rho = [0] * n  # new label -> old element
+    sigma = [0] + [-1] * (n - 1)  # old element -> new label, -1 if unlabeled
+
+    def fits(k: int) -> bool:
+        # Label k-1 is the newest: check its products with labels 1..k-1.
+        new = rho[k - 1]
+        for lab in range(1, k):
+            old = rho[lab]
+            for p, want in ((table[old][new], canon[lab][k - 1]), (table[new][old], canon[k - 1][lab])):
+                if sigma[p] != want and (sigma[p] >= 0 or want < k):
+                    return False
+        return True
+
+    def header(y: int, k: int) -> bool:
+        if y == n:  # every label is named: compare what fits left open
+            return all(sigma[table[rho[x]][rho[z]]] == canon[x][z] for x in range(1, n) for z in range(1, n))
+        if y < k:
+            return cell(y, k)
+        for e in range(1, n):
+            if sigma[e] < 0:
+                rho[y] = e
+                sigma[e] = y
+                found = fits(k + 1) and cell(y, k + 1)
+                sigma[e] = -1
+                if found:
+                    return True
+        return False
+
+    def cell(y: int, k: int) -> bool:
+        p = table[rho[1]][rho[y]]
+        if sigma[p] >= 0:
+            return sigma[p] == canon[1][y] and header(y + 1, k)
+        if canon[1][y] != k:
+            return False
+        rho[k] = p
+        sigma[p] = k
+        found = fits(k + 1) and header(y + 1, k + 1)
+        sigma[p] = -1
+        return found
+
+    return header(1, 1)
+
+
 def table_is_cyclic(t: "CayleyTable | Table") -> bool:
     """True iff some single element's powers sweep out the whole table."""
     orders = element_orders(t)
@@ -270,10 +370,13 @@ def table_is_cyclic(t: "CayleyTable | Table") -> bool:
 
 def element_orders(t: "CayleyTable | Table") -> tuple[int, ...]:
     """Sorted multiset of element orders, read directly off the table."""
-    table = _group_rows(t)
-    n = len(table)
+    return _orders(_group_rows(t))
+
+
+def _orders(table: Table) -> tuple[int, ...]:
+    """element_orders of a table known to be a group table."""
     orders = []
-    for g in range(n):
+    for g in range(len(table)):
         order = 1
         x = g
         while x != 0:
@@ -286,9 +389,9 @@ def element_orders(t: "CayleyTable | Table") -> tuple[int, ...]:
 def enumerate_groups(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[CayleyTable]:
     """All groups of order n up to relabeling, as canonical-form tables.
 
-    Refuses n beyond the cap (default 8, hard limit 10); raising the cap
-    past the default emits a warning because the order-10 search takes
-    seconds rather than milliseconds.
+    Refuses n beyond the cap (default 8, hard limit HARD_ORDER_CAP = 12);
+    an order past the default emits a warning because the order-12
+    search takes seconds rather than milliseconds.
     """
     if n < 1:
         raise ValueError("the order must be at least 1")
@@ -301,6 +404,12 @@ def enumerate_groups(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[CayleyTabl
         warnings.warn(
             f"enumerating groups of order {n} may take a while", RuntimeWarning, stacklevel=2
         )
-    # The candidates are group tables by construction: skip re-validating them.
-    seen = {_canonical_form(table) for table in _candidate_tables(n)}
-    return [CayleyTable(rep) for rep in sorted(seen)]
+    # The candidates are group tables by construction: skip re-validating
+    # them.  Each is tested against the classes found so far with its
+    # element orders, and only one that matches none gets a canonical form.
+    classes: dict[tuple[int, ...], list[Table]] = {}
+    for table in _candidate_tables(n):
+        same = classes.setdefault(_orders(table), [])
+        if not any(_isomorphic(table, canon) for canon in same):
+            same.append(_canonical_form(table))
+    return [CayleyTable(rep) for rep in sorted(rep for same in classes.values() for rep in same)]

@@ -20,7 +20,7 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 
-from .cayley import DEFAULT_ORDER_CAP, element_orders, enumerate_groups
+from .cayley import DEFAULT_ORDER_CAP, HARD_ORDER_CAP, element_orders, enumerate_groups
 from .errors import CapacityError
 from .groups import (
     DEFAULT_CLOSURE_CAP,
@@ -384,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, metavar="N")
     p.add_argument(
         "--max-order", type=int, default=DEFAULT_ORDER_CAP, metavar="CAP",
-        help=f"enumeration order cap (default {DEFAULT_ORDER_CAP}, hard limit 10)",
+        help=f"enumeration order cap (default {DEFAULT_ORDER_CAP}, hard limit {HARD_ORDER_CAP})",
     )
     add_common(p)
     p.set_defaults(func=cmd_enumerate)

@@ -522,8 +522,20 @@ def max_element_order(G: FiniteGroup) -> int:
 
 
 def _least_generator(d: _Dimino, orders: Sequence[int]) -> int | None:
-    """The number of the least element of order |G| in image order, or None."""
-    return min((i for i, k in enumerate(orders) if k == d.size), key=d.images_of, default=None)
+    """The number of the least element of order |G| in image order, or None.
+
+    The candidates are read one point at a time, keeping those with the
+    least image there, until one is left; distinct elements differ at
+    some point, and no whole image tuple is built.
+    """
+    candidates = [i for i, k in enumerate(orders) if k == d.size]
+    y = 0
+    while len(candidates) > 1:
+        images = [d.reader(i)(y) for i in candidates]
+        least = min(images)
+        candidates = [i for i, image in zip(candidates, images) if image == least]
+        y += 1
+    return candidates[0] if candidates else None
 
 
 def is_cyclic(G: FiniteGroup) -> Permutation | None:

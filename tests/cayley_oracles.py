@@ -1,24 +1,86 @@
 """Slow reference implementations that the Cayley-table tests compare against.
 
-``all_labeled_tables`` is the table search without the canonical-row
+``candidate_tables`` is the table search that branches on every free
+cell and only rejects a value once it completes a non-associative
+triple; ``cyclicnum.cayley`` fills the cells associativity forces
+instead of branching on them, and must find the same tables.
+``all_labeled_tables`` is the same search without the canonical-row
 pruning, so it finds every identity-fixed group table (2760 at order 8,
 about 40 s).  ``brute_canonical_form`` tries all (n-1)! identity-fixing
 relabelings.  ``cyclicnum.cayley`` computes the same canonical forms
-while searching only the tables that can be canonical.
+while searching only the tables that can be canonical, and tells
+classes apart by a relabeling walk held to a class's canonical form.
 """
 
 from itertools import permutations
 
-from cyclicnum.cayley import _consistent
+
+def consistent(n, t, pre, i, j, v):
+    """With t[i][j] tentatively v, is every fully determined triple associative?
+
+    A triple (a, b, c) touches four cells: (a, b), (b, c), (a*b, c) and
+    (a, b*c).  Each family below catches the case where (i, j) plays one
+    of those roles; pre[x] lists the filled cells whose product is x, so
+    the last two families are direct lookups instead of scans.  Triples
+    with a 0 in them hold by the identity axiom, hence the loops from 1.
+    """
+    base_i = i * n
+    base_j = j * n
+    base_v = v * n
+    for c in range(1, n):
+        q = t[base_j + c]
+        if q >= 0:
+            lhs = t[base_v + c]
+            if lhs >= 0:
+                rhs = t[base_i + q]
+                if rhs >= 0 and lhs != rhs:
+                    return False
+    for base_a in range(n, n * n, n):
+        p = t[base_a + i]
+        if p >= 0:
+            rhs = t[base_a + v]
+            if rhs >= 0:
+                lhs = t[p * n + j]
+                if lhs >= 0 and lhs != rhs:
+                    return False
+    for a, b in pre[i]:
+        q = t[b * n + j]
+        if q >= 0:
+            rhs = t[a * n + q]
+            if rhs >= 0 and rhs != v:
+                return False
+    for b, c in pre[j]:
+        p = t[base_i + b]
+        if p >= 0:
+            lhs = t[p * n + c]
+            if lhs >= 0 and lhs != v:
+                return False
+    return True
 
 
 def all_labeled_tables(n):
     """Every group table on {0..n-1} with identity 0, by backtracking."""
+    return candidate_tables(n, bound_row1=False)
+
+
+def candidate_tables(n, bound_row1=True):
+    """Every group table on {0..n-1} with identity 0 that could be canonical.
+
+    A backtracker over the interior cells in row-major order that tries
+    every value a row and column leave free and keeps it if ``consistent``
+    accepts it.  A canonical table names its labels in row 1 in
+    first-appearance order (see canonical_form), so entry (1, j) is at
+    most one more than the largest label named so far: j itself or any
+    earlier entry of row 1.  With bound_row1 false that bound is dropped
+    and every identity-fixed table is found.
+    """
     t = [-1] * (n * n)
     for j in range(n):
         t[j] = j
     for i in range(n):
         t[i * n] = i
+    # pre[x] lists filled interior cells (a, b) with a*b = x.  Row-0/col-0
+    # cells never enter: any triple touching the identity holds trivially.
     pre = [[] for _ in range(n)]
     rowmask = [(1 << n) - 1] + [1 << i for i in range(1, n)]
     colmask = [(1 << n) - 1] + [1 << j for j in range(1, n)]
@@ -32,13 +94,15 @@ def all_labeled_tables(n):
             return
         i, j = cells[depth]
         avail = ~(rowmask[i] | colmask[j]) & limit
+        if i == 1 and bound_row1:
+            avail &= (4 << max(j, *t[n : n + j])) - 1
         pos = i * n + j
         while avail:
             bit = avail & -avail
             avail ^= bit
             v = bit.bit_length() - 1
             t[pos] = v
-            if _consistent(n, t, pre, i, j, v):
+            if consistent(n, t, pre, i, j, v):
                 pre[v].append((i, j))
                 rowmask[i] |= bit
                 colmask[j] |= bit

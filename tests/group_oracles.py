@@ -26,6 +26,9 @@ element that commutes with each generator, and the generator is the
 first sorted element of order |G|.  ``cyclicnum.groups`` runs the same
 conjugation maps on closure's element numbers, reading |base| points of
 an element, and finds the generator among element numbers.
+``least_generator`` takes that number as the ``min`` of the candidates'
+whole image tuples; ``cyclicnum.groups`` reads the candidates one point
+at a time until one is left.
 
 The rest sweep all of G: the normalizer tests every element, and the
 conjugates of a subgroup or an element are taken over every b in G.
@@ -224,6 +227,11 @@ def center(G):
 def is_cyclic(G):
     """The first element of G.elements of order |G|, or None."""
     return next((g for g, k in zip(G.elements, element_orders(G)) if k == len(G)), None)
+
+
+def least_generator(d, orders):
+    """The number of the least element of order |G|, keyed by its whole image tuple."""
+    return min((i for i, k in enumerate(orders) if k == d.size), key=d.images_of, default=None)
 
 
 def normalizer(G, F):

@@ -1,6 +1,7 @@
 """Table enumeration oracle: counts, canonical forms, regular representations."""
 
 import random
+import warnings
 
 import pytest
 
@@ -16,7 +17,8 @@ from cyclicnum import (
     validate_table,
     verify_theorem_small,
 )
-from cayley_oracles import brute_canonical_form
+from cyclicnum.cayley import _candidate_tables, _canonical_form, _isomorphic
+from cayley_oracles import brute_canonical_form, candidate_tables
 
 # a Latin square with identity 0 that is not associative: (1*1)*1 = 3 but
 # 1*(1*1) = 0 (built from the order-6 cyclic table by swapping the
@@ -125,20 +127,72 @@ class TestEnumeration:
 
     def test_hard_limit(self):
         with pytest.raises(CapacityError):
-            enumerate_groups(11, cap=20)
+            enumerate_groups(13, cap=20)
 
     def test_above_default_warns(self):
         with pytest.warns(RuntimeWarning):
             classes = enumerate_groups(9, cap=10)
         assert len(classes) == 2
 
-    def test_orders_nine_and_ten_match_a000001(self):
-        # Z9, Z3 x Z3 and Z10, D5: two classes each, one of them cyclic
+    def test_orders_nine_to_twelve_match_a000001(self):
+        # Z9, Z3 x Z3; Z10, D5; Z11; Z12, Z2 x Z6, A4, Dic3, D6
         with pytest.warns(RuntimeWarning):
-            rows = verify_theorem_small(10, cap=10)
+            rows = verify_theorem_small(12, cap=12)
         assert all(row.agree for row in rows)
-        for row in rows[8:]:
-            assert (row.group_count, row.cyclic_count) == (2, 1)
+        counts = [(row.group_count, row.cyclic_count) for row in rows[8:]]
+        assert counts == [(2, 1), (2, 1), (1, 1), (5, 1)]
+
+    def test_order_twelve_multisets(self):
+        with pytest.warns(RuntimeWarning):
+            classes = enumerate_groups(12, cap=12)
+        assert sorted(element_orders(c) for c in classes) == sorted([
+            (1, 2, 3, 3, 4, 4, 6, 6, 12, 12, 12, 12),  # Z12
+            (1, 2, 2, 2, 3, 3, 6, 6, 6, 6, 6, 6),  # Z2 x Z6
+            (1, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3),  # A4
+            (1, 2, 3, 3, 4, 4, 4, 4, 4, 4, 6, 6),  # Dic3
+            (1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 6, 6),  # D6
+        ])
+
+
+class TestPropagatingSearch:
+    """The search that fills forced cells against the oracle that branches
+    on every cell, and the isomorphism test against brute-force forms."""
+
+    @staticmethod
+    def assert_matches_branching_oracle(n):
+        found = _candidate_tables(n)
+        expected = candidate_tables(n)
+        assert sorted(found) == sorted(expected), n
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            classes = {c.table for c in enumerate_groups(n, cap=n)}
+        assert classes == {_canonical_form(t) for t in expected}, n
+
+    def test_candidates_and_classes_up_to_nine(self):
+        for n in range(1, 10):
+            self.assert_matches_branching_oracle(n)
+
+    def test_candidates_and_classes_at_order_ten(self):
+        # The oracle search takes about 15 s here: 199 candidates.
+        self.assert_matches_branching_oracle(10)
+
+    def test_isomorphic_matches_brute_force_on_every_labeled_table_up_to_six(self, oracle_pack, labeled_tables):
+        classes, _ = oracle_pack
+        for n in range(1, 7):
+            for table in labeled_tables[n]:
+                form = brute_canonical_form(table)
+                for c in classes[n]:
+                    assert _isomorphic(table, c.table) == (form == c.table), (table, c.table)
+
+    def test_isomorphic_matches_brute_force_on_order_eight_relabelings(self, oracle_pack):
+        classes, _ = oracle_pack
+        rng = random.Random(20261019)
+        for t in classes[8]:
+            for _ in range(100):
+                shuffled = relabel(t.table, [0] + rng.sample(range(1, 8), 7))
+                form = brute_canonical_form(shuffled)
+                for c in classes[8]:
+                    assert _isomorphic(shuffled, c.table) == (form == c.table)
 
 
 class TestCanonicalForm:

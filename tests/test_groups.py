@@ -13,6 +13,7 @@ import random
 import pytest
 
 import cyclicnum as cn
+import cyclicnum.groups as groups_module
 import group_oracles as oracle
 from cyclicnum import CapacityError, Permutation, Subgroup, cycle, identity
 from cyclicnum.cli import _analyze_group
@@ -515,6 +516,24 @@ class TestAgainstSweepOracles:
             for g in elements:
                 K = cn.closure([g])
                 assert cn.is_cyclic(K) == oracle.is_cyclic(K), (n, g)
+
+    def test_least_generator_against_whole_tuples(self, corpus):
+        # Long cycles, and disjoint cycles of coprime lengths, whose
+        # generators tie on the first points and whose least generator is
+        # not the one closure starts from; the non-cyclic corpus groups
+        # give None both ways.
+        groups = list(corpus.values())
+        groups += [cn.closure([cycle(range(m), m)]) for m in (997, 1000, 2048)]
+        groups += [cn.closure([cycle([0, 1], 5) * cycle([2, 4, 3], 5)])]
+        g, start = identity(37), 0
+        for length in (5, 7, 9, 16):  # each cycle runs down its points
+            g = g * cycle(range(start + length - 1, start - 1, -1), 37)
+            start += length
+        groups += [cn.closure([g])]
+        for G in groups:
+            d = G._dimino
+            orders = groups_module._order_pass(d)
+            assert groups_module._least_generator(d, orders) == oracle.least_generator(d, orders), len(G)
 
     @pytest.mark.parametrize("n", [546, 1014])
     def test_groups_above_512_elements(self, n):

@@ -203,3 +203,10 @@ def test_enumerate_takes_one_order_pass_per_class(monkeypatch, capsys):
     calls = count_calls(monkeypatch, "_group_rows", cayley)
     assert cli.main(["enumerate", "8", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["classes"] == len(calls) == 5
+
+
+def test_enumerate_takes_one_canonical_form_per_class(monkeypatch, capsys):
+    # Candidates that match a class found so far get no canonical form.
+    calls = count_calls(monkeypatch, "_canonical_form", cayley)
+    assert cli.main(["enumerate", "8", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["classes"] == len(calls) == 5
