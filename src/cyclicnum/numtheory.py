@@ -3,15 +3,24 @@
 Everything here is exact and deterministic: factorization, Euler's
 totient, the two divisibility conditions that characterize cyclic
 numbers, multiplicative orders, and a sieve for the cyclic numbers of a
-range.  Every n up to MAX_INPUT = 2**63 - 1 is supported in bounded
-time.  ``is_prime`` and ``factorize`` trial-divide by the primes up to
-1000, which settles every n below 10**6; above that, primality is
-Miller-Rabin to the first 12 prime bases (deterministic below
-3.18 * 10**23, Sorenson and Webster 2015), and a composite rest is split
-by Pollard's rho with Brent's cycle finding (Brent 1980) from fixed
-seeds.  The worst case below 2**63, a product of two primes near 2**31,
-factors in tens of milliseconds.  ``cyclic_numbers`` is a segmented
-totient sieve with fixed-size windows.
+range.  Every n up to MAX_INPUT = 2**63 - 1 is supported, and
+factorization and everything built on it finish in bounded time.
+``is_prime`` and ``factorize`` trial-divide by the primes up to 1000,
+which settles every n below 10**6; above that, primality is Miller-Rabin
+to the first 12 prime bases (deterministic below 3.18 * 10**23, Sorenson
+and Webster 2015), and a composite rest is split by Pollard's rho with
+Brent's cycle finding (Brent 1980) from fixed seeds.  The worst case
+below 2**63, a product of two primes near 2**31, factors in tens of
+milliseconds.  The exception is ``element_of_order(p1, p2)``, which takes
+about sqrt(p2) modular steps when p1 is near sqrt(p2), some 2**31 for p2
+near 2**62.  ``build_witness`` never gets there, since under DEGREE_CAP
+its p2 is at most 100.
+
+``cyclic_numbers`` is a segmented totient sieve over odd n only, with
+fixed-size windows.  Two kinds of n are settled without a gcd, because a
+known prime divides both n and phi(n): an even n >= 4 (2 divides phi(n)
+for n >= 3) and an n with p**2 | n for a sieving prime p (p divides
+phi(n)).  Every other n is decided by gcd(n, phi(n)) = 1.
 
 The totient and the two conditions are read off a Factorization
 (``phi`` and ``conditions()``), so a caller that needs several of them
@@ -275,7 +284,10 @@ def element_of_order(p1: int, p2: int) -> int:
     candidates qualify, so the scan is expected to stop after about
     (p2 - 1)/(p1 - 1) steps.  The cost is thus O(min(p1, (p2 - 1)/(p1 - 1)))
     modular steps, the scan's share as an expectation, and the result is
-    the same either way.
+    the same either way.  The worst case, p1 near sqrt(p2), is about
+    sqrt(p2) steps for either branch, which is not practical for p2 near
+    MAX_INPUT.  ``build_witness`` never reaches it under DEGREE_CAP: an
+    arrow witness has degree at least p2**2, so p2 is at most 100.
     """
     if not is_prime(p1):
         raise ValueError(f"p1 must be prime, got {p1}")
@@ -300,12 +312,17 @@ def element_of_order(p1: int, p2: int) -> int:
 def cyclic_numbers(lo: int, hi: int) -> list[int]:
     """Ascending list of cyclic numbers in [lo, hi], by a segmented totient sieve.
 
-    The range is cut into windows of 2**12 integers, so working memory does
-    not grow with it.  In each window every prime p up to min(sqrt(hi), 1000)
+    1 and 2 are cyclic.  An even n >= 4 is not: phi(n) is even for n >= 3,
+    so 2 divides gcd(n, phi(n)).  Only odd n are sieved, in windows of
+    2**12 odd integers (2**13 consecutive integers, the last window
+    possibly fewer), so working memory does not grow with the range.  In
+    each window every odd prime p up to min(sqrt(hi), 1000) marks the n
+    that p**2 divides, which are not cyclic either (p divides phi(n)), and
     is divided out of its multiples, whose running totients gain a factor
-    p - 1, and p once more per further power of p dividing them.  What is
-    left of an n above 1 is then prime when it is at most 10**6 (always so
-    when hi <= 10**6); a larger rest is factorized.  n is cyclic when
+    p - 1.  An unmarked n is then p1 * ... * pk * m with distinct sieving
+    primes pi, phi(n) = (p1 - 1) ... (pk - 1) * phi(m), and the cofactor m
+    is 1 or prime when it is at most 10**6 (always so when hi <= 10**6);
+    a larger m is factorized.  An unmarked n is cyclic when
     gcd(n, phi(n)) = 1.
     """
     _check_positive(lo, "lo")
@@ -313,27 +330,35 @@ def cyclic_numbers(lo: int, hi: int) -> list[int]:
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
     limit = math.isqrt(hi)
-    primes = [p for p in _SMALL_PRIMES if p <= limit]
-    hits: list[int] = []
+    primes = [p for p in _SMALL_PRIMES[1:] if p <= limit]
+    hits = list(range(lo, min(hi, 2) + 1))  # 1 and 2
     window = 1 << 12
-    for start in range(lo, hi + 1, window):
-        stop = min(start + window, hi + 1)
-        size = stop - start
-        rest = list(range(start, stop))
+    for start in range(max(lo, 3) | 1, hi + 1, 2 * window):
+        # Index i of the window stands for the odd n = start + 2*i.
+        size = min(window, (hi - start) // 2 + 1)
+        odd = range(start, start + 2 * size, 2)
+        rest = list(odd)
         phi = [1] * size
+        unmarked = bytearray(b"\x01") * size
         for p in primes:
-            pk, factor = p, p - 1
-            while (i := -start % pk) < size:  # the window holds a multiple of p**k
-                rest[i::pk] = [m // p for m in rest[i::pk]]
-                phi[i::pk] = [f * factor for f in phi[i::pk]]
-                pk, factor = pk * p, p
-        if stop - 1 > _SMALL_PRIME_BOUND**2:
-            for i, m in enumerate(rest):
-                if m > _SMALL_PRIME_BOUND**2:
+            # The odd multiples of an odd q start at i = -start / 2 mod q,
+            # and (q + 1) / 2 is the inverse of 2 modulo q.
+            i = -start * ((p + 1) // 2) % p
+            rest[i::p] = [m // p for m in rest[i::p]]
+            phi[i::p] = [f * (p - 1) for f in phi[i::p]]
+            q = p * p
+            if (i := -start * ((q + 1) // 2) % q) < size:
+                unmarked[i::q] = bytes(len(range(i, size, q)))
+        if odd[-1] > _SMALL_PRIME_BOUND**2:
+            for i in itertools.compress(range(size), unmarked):
+                if (m := rest[i]) > _SMALL_PRIME_BOUND**2:
                     phi[i] *= euler_phi(m)
                     rest[i] = 1
-        # Every rest is now 1 or a prime m, which contributes m - 1 to phi.
-        hits += [
-            n for n, m, f in zip(range(start, stop), rest, phi) if math.gcd(n, f * (m - 1 or 1)) == 1
-        ]
+        # Every unmarked rest is now 1 or a prime m, which contributes m - 1 to phi.
+        survivors = zip(
+            itertools.compress(odd, unmarked),
+            itertools.compress(rest, unmarked),
+            itertools.compress(phi, unmarked),
+        )
+        hits += [n for n, m, f in survivors if math.gcd(n, f * (m - 1 or 1)) == 1]
     return hits

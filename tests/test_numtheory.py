@@ -290,9 +290,40 @@ class TestCyclicNumbers:
         assert cyclic_numbers(lo, lo + 2999) == oracle.cyclic_numbers(lo, lo + 2999)
 
     def test_sieve_across_window_boundary(self):
-        # Windows hold 2**12 integers counted from lo, so this range spans
-        # nine, the last one partly.
-        lo, hi = 10**6 - 2**15 - 1000, 10**6
+        # Windows hold 2**12 odd integers counted from the first odd n >= lo,
+        # so they span 2**13 integers each and this range spans nine, the
+        # last one partly.
+        lo, hi = 10**6 - 2**16 - 2000, 10**6
+        assert cyclic_numbers(lo, hi) == oracle.cyclic_numbers(lo, hi)
+
+    def test_sieve_parity_edges(self):
+        # Even and odd ends, single points, and ranges such as [4, 4] that
+        # hold no odd n >= 3 and so no sieve window.
+        for lo in range(1, 65):
+            for hi in range(lo, 65):
+                assert cyclic_numbers(lo, hi) == oracle.cyclic_numbers(lo, hi), (lo, hi)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=10**6 - 10**4, max_value=10**6 + 10**4),
+            st.integers(min_value=10**12, max_value=10**12 + 10**6),
+        ),
+        st.integers(min_value=0, max_value=200),
+    )
+    def test_sieve_short_ranges_match_totient(self, lo, span):
+        # Above 10**6 a cofactor with no prime factor up to 1000 is
+        # factorized, and it must agree with the square marks.
+        hi = lo + span
+        expected = [n for n in range(lo, hi + 1)
+                    if math.gcd(n, oracle.totient(oracle.factorize(n))) == 1]
+        assert cyclic_numbers(lo, hi) == expected
+
+    def test_sieve_square_of_prime_above_1000(self):
+        # 1009**2 has no prime factor up to 1000 and is not prime: only
+        # factorizing it shows that 1009 divides its totient.
+        lo, hi = 1009**2 - 100, 1009**2 + 100
+        assert 1009**2 not in cyclic_numbers(lo, hi)
         assert cyclic_numbers(lo, hi) == oracle.cyclic_numbers(lo, hi)
 
     def test_sieve_above_table_square(self):

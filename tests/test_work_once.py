@@ -6,7 +6,9 @@ element-order pass or conjugacy-class pass creeping back in fails here.
 """
 
 import json
+import math
 
+import numtheory_oracles
 import pytest
 
 import cyclicnum.cayley as cayley
@@ -39,6 +41,28 @@ def test_check_factorizes_once(monkeypatch, capsys, n, flags):
     capsys.readouterr()
     assert rc in (0, 1)
     assert len(calls) == 1
+
+
+def test_sieve_to_a_million_factorizes_no_cofactor(monkeypatch):
+    calls = count_calls(monkeypatch, "euler_phi", numtheory)
+    assert len(numtheory.cyclic_numbers(1, 10**6)) == 294609
+    assert calls == []
+
+
+def test_sieve_factorizes_only_unmarked_large_cofactors(monkeypatch):
+    # Above 10**6 the sieve factorizes the cofactor left after dividing out
+    # the primes up to 1000, but only for an odd n that no square of such
+    # a prime divides: even n and those n are settled without a totient.
+    lo, hi = 10**12, 10**12 + 300
+    expected = 0
+    for n in range(lo | 1, hi + 1, 2):
+        factors = numtheory_oracles.factorize(n)
+        small = [(p, a) for p, a in factors if p <= 1000]
+        if all(a == 1 for _, a in small) and n // math.prod(p for p, _ in small) > 10**6:
+            expected += 1
+    calls = count_calls(monkeypatch, "euler_phi", numtheory)
+    numtheory.cyclic_numbers(lo, hi)
+    assert len(calls) == expected > 0
 
 
 @pytest.mark.parametrize("n", [4, 6, 18, 100])
