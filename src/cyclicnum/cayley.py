@@ -15,15 +15,21 @@ lexicographically least identity-fixing relabeling.  It is found by
 branch and bound rather than by trying all (n-1)! relabelings: labels
 are handed out in order of first appearance while the table is read row
 by row, so row 1 names every element and only the choices of new header
-elements branch.  The same first-appearance rule bounds row 1 of every
-canonical table, and the search only builds tables that satisfy it
-(71 of the 2760 identity-fixed tables at order 8).  A candidate is
-first tested against the classes found so far with its element orders,
-by the same relabeling walk held to a class's canonical form, so only
-one canonical form is computed per class.
+elements branch.  Row 1 of a canonical table is then the pattern of
+element 1's order k, and k is the least order of any non-identity
+element, so when k > 2 there is no involution.  The row of the first
+header names new blocks of k labels in first-appearance order.  The
+search only builds tables that meet these bounds (20 of the 2760
+identity-fixed tables at order 8), in increasing order, so the first
+candidate of each class is its canonical form.  Each later candidate is
+tested against the classes found so far with its element orders, by
+the same relabeling walk held to a class's canonical form, and no
+canonical form is computed.
 
-Order 10 takes about 0.1 s and order 12 a few seconds, which is why
-going past the default cap warns and the hard cap stops at 12.
+Order 12 takes about 0.1 s and order 15 a few hundredths of a second.
+Order 16 takes about 25 s, nearly all of it in those isomorphism
+tests, which is why going past the default cap warns and the hard cap
+stops at 15.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from .errors import CapacityError
 
 DEFAULT_ORDER_CAP = 8
-HARD_ORDER_CAP = 12
+HARD_ORDER_CAP = 15
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -99,11 +105,28 @@ def _candidate_tables(n: int) -> list[Table]:
     four cells: (a, b), (b, c), (a*b, c) and (a, b*c).  Once three of them
     are known, associativity names the fourth, so ``assign`` pushes it as
     a forced assignment, and a clash with a known cell or with a row's or
-    column's used values rejects the branch; ``trail`` undoes it.  A
-    canonical table names its labels in row 1 in first-appearance order
-    (see canonical_form), so entry (1, j) is at most one more than the
+    column's used values rejects the branch; ``trail`` undoes it.
+
+    Three bounds that every canonical table meets (see canonical_form)
+    cut the rest.  A canonical table names its labels in row 1 in
+    first-appearance order, so entry (1, j) is at most one more than the
     largest label named so far: j itself or any earlier entry of row 1.
-    The walk checks that bound on forced row-1 cells as it passes them.
+    A complete row 1 is then the pattern of element 1's order k: labels
+    come in blocks B_c = {ck, ..., ck + k - 1}, and label ck + i is
+    g**i * h_c for g = element 1 and the block's header h_c = ck.
+    Relabelings that keep the headers of blocks 0..c fix every label
+    below (c + 1)k and may reorder the later blocks and rotate each one.
+    So in row k, the row of the first header, an entry at column j that
+    opens a block above c = max(j // k, 1) must be the header of the
+    least block row k has not used: at most (max(top, j, k) // k + 1) * k,
+    where top is the largest entry to its left.  Row 1's bound is the
+    case k = 1.  The walk checks it on forced cells as it passes them and
+    on branch values.  A smaller k gives a smaller row 1, so once entry
+    (1, 1) is 2 (element 1 has order above 2) ``assign`` rejects an
+    involution, a 0 on the diagonal.
+
+    Values are tried in increasing order, so the tables come out in
+    strictly increasing order.
     """
     t = [-1] * (n * n)
     for j in range(n):
@@ -137,6 +160,8 @@ def _candidate_tables(n: int) -> list[Table]:
                 continue
             bit = 1 << v
             if (rowmask[x] | colmask[y]) & bit:
+                return False
+            if not v and x == y and t[n + 1] == 2:  # an involution
                 return False
             t[pos] = v
             rowmask[x] |= bit
@@ -198,31 +223,39 @@ def _candidate_tables(n: int) -> list[Table]:
             rowmask[x] ^= bit
             colmask[y] ^= bit
 
-    def fill(pos: int, top: int) -> None:
-        # Pass the filled cells, checking row 1's bound on each; top is
-        # the largest label row 1 has named so far.
+    def fill(pos: int, top: int, k: int) -> None:
+        # Pass the filled cells, checking row k's bound on each; top is
+        # the largest entry of row k so far.  k is 1 until row 1 is
+        # complete, then the order of element 1: the column of row 1's 0,
+        # plus one.
         while pos < last and t[pos] >= 0:
-            if pos < 2 * n:
-                if t[pos] > max(pos - n, top) + 1:
+            i, j = cells[pos]
+            if i == k:
+                if t[pos] > (max(top, j, k) // k + 1) * k:
                     return
                 top = max(top, t[pos])
-            pos += 2 if pos % n == n - 1 else 1
+            if j < n - 1:
+                pos += 1
+            else:
+                pos += 2
+                if i == 1:
+                    k, top = t.index(0, n) - n + 1, 0
         if pos >= last:
             out.append(tuple(tuple(t[i * n : (i + 1) * n]) for i in range(n)))
             return
         i, j = cells[pos]
         avail = ~(rowmask[i] | colmask[j]) & limit
-        if i == 1:
-            avail &= (4 << max(j, top)) - 1
+        if i == k:
+            avail &= (2 << (max(top, j, k) // k + 1) * k) - 1
         mark = len(trail)
         while avail:
             bit = avail & -avail
             avail ^= bit
             if assign(pos, bit.bit_length() - 1):
-                fill(pos, top)
+                fill(pos, top, k)
             undo(mark)
 
-    fill(n + 1, 1)
+    fill(n + 1, 0, 1)
     return out
 
 
@@ -389,9 +422,10 @@ def _orders(table: Table) -> tuple[int, ...]:
 def enumerate_groups(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[CayleyTable]:
     """All groups of order n up to relabeling, as canonical-form tables.
 
-    Refuses n beyond the cap (default 8, hard limit HARD_ORDER_CAP = 12);
-    an order past the default emits a warning because the order-12
-    search takes seconds rather than milliseconds.
+    Refuses n beyond the cap (default 8, hard limit HARD_ORDER_CAP = 15);
+    an order past the default emits a warning because the cost follows
+    the number of groups, not n: order 12 takes about 0.1 s against a few
+    milliseconds at order 8, and order 16, past the hard limit, about 25 s.
     """
     if n < 1:
         raise ValueError("the order must be at least 1")
@@ -405,11 +439,13 @@ def enumerate_groups(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[CayleyTabl
             f"enumerating groups of order {n} may take a while", RuntimeWarning, stacklevel=2
         )
     # The candidates are group tables by construction: skip re-validating
-    # them.  Each is tested against the classes found so far with its
-    # element orders, and only one that matches none gets a canonical form.
+    # them.  They come in increasing order and include every class's
+    # canonical form, which is the least table of its class, so a
+    # candidate that matches none of the classes found so far with its
+    # element orders is the canonical form of a new class.
     classes: dict[tuple[int, ...], list[Table]] = {}
     for table in _candidate_tables(n):
         same = classes.setdefault(_orders(table), [])
         if not any(_isomorphic(table, canon) for canon in same):
-            same.append(_canonical_form(table))
+            same.append(table)
     return [CayleyTable(rep) for rep in sorted(rep for same in classes.values() for rep in same)]

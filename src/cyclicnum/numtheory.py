@@ -321,8 +321,9 @@ def cyclic_numbers(lo: int, hi: int) -> list[int]:
     is divided out of its multiples, whose running totients gain a factor
     p - 1.  An unmarked n is then p1 * ... * pk * m with distinct sieving
     primes pi, phi(n) = (p1 - 1) ... (pk - 1) * phi(m), and the cofactor m
-    is 1 or prime when it is at most 10**6 (always so when hi <= 10**6);
-    a larger m is factorized.  An unmarked n is cyclic when
+    is 1 or prime when it is at most 10**6 (always so when hi <= 10**6).
+    A larger m has no prime factor up to 1000, so it goes straight to
+    rho without trial division.  An unmarked n is cyclic when
     gcd(n, phi(n)) = 1.
     """
     _check_positive(lo, "lo")
@@ -352,7 +353,7 @@ def cyclic_numbers(lo: int, hi: int) -> list[int]:
         if odd[-1] > _SMALL_PRIME_BOUND**2:
             for i in itertools.compress(range(size), unmarked):
                 if (m := rest[i]) > _SMALL_PRIME_BOUND**2:
-                    phi[i] *= euler_phi(m)
+                    phi[i] *= Factorization(m, _large_cofactor_factors(m)).phi
                     rest[i] = 1
         # Every unmarked rest is now 1 or a prime m, which contributes m - 1 to phi.
         survivors = zip(

@@ -7,9 +7,12 @@ instead of branching on them, and must find the same tables.
 ``all_labeled_tables`` is the same search without the canonical-row
 pruning, so it finds every identity-fixed group table (2760 at order 8,
 about 40 s).  ``brute_canonical_form`` tries all (n-1)! identity-fixing
-relabelings.  ``cyclicnum.cayley`` computes the same canonical forms
-while searching only the tables that can be canonical, and tells
-classes apart by a relabeling walk held to a class's canonical form.
+relabelings.  ``meets_search_bounds`` tests a complete table against
+the two canonicity bounds that ``cyclicnum.cayley`` adds to row 1's:
+the search must find exactly the oracle's tables that meet them.  The
+search's first table of each class is then the class's canonical form,
+and ``enumerate_groups`` tells classes apart by a relabeling walk held
+to that form.
 """
 
 from itertools import permutations
@@ -114,6 +117,39 @@ def candidate_tables(n, bound_row1=True):
 
     fill(0)
     return out
+
+
+def meets_search_bounds(table):
+    """Whether a group table whose row 1 is in first-appearance order meets
+    the two bounds the search adds.
+
+    A smaller order k of element 1 gives a smaller row 1, so with k > 2
+    no element may be an involution.  Labels come in blocks
+    {ck, ..., ck + k - 1}; read left to right, an entry of row k at
+    column y whose block is above c = max(y // k, 1) and not yet used by
+    row k must be the first label of the least such block.
+    """
+    n = len(table)
+    if n <= 2:
+        return True
+    k, x = 1, 1
+    while x != 0:
+        x = table[x][1]
+        k += 1
+    if k > 2 and any(table[x][x] == 0 for x in range(1, n)):
+        return False
+    if k == n:
+        return True
+    used = set()
+    for y in range(1, n):
+        c = max(y // k, 1)
+        block = table[k][y] // k
+        if block > c and block not in used:
+            least = min(b for b in range(c + 1, n // k) if b not in used)
+            if table[k][y] != least * k:
+                return False
+        used.add(block)
+    return True
 
 
 def brute_canonical_form(table):

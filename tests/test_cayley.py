@@ -18,7 +18,7 @@ from cyclicnum import (
     verify_theorem_small,
 )
 from cyclicnum.cayley import _candidate_tables, _canonical_form, _isomorphic
-from cayley_oracles import brute_canonical_form, candidate_tables
+from cayley_oracles import brute_canonical_form, candidate_tables, meets_search_bounds
 
 # a Latin square with identity 0 that is not associative: (1*1)*1 = 3 but
 # 1*(1*1) = 0 (built from the order-6 cyclic table by swapping the
@@ -127,20 +127,21 @@ class TestEnumeration:
 
     def test_hard_limit(self):
         with pytest.raises(CapacityError):
-            enumerate_groups(13, cap=20)
+            enumerate_groups(16, cap=20)
 
     def test_above_default_warns(self):
         with pytest.warns(RuntimeWarning):
             classes = enumerate_groups(9, cap=10)
         assert len(classes) == 2
 
-    def test_orders_nine_to_twelve_match_a000001(self):
-        # Z9, Z3 x Z3; Z10, D5; Z11; Z12, Z2 x Z6, A4, Dic3, D6
+    def test_orders_nine_to_fifteen_match_a000001(self):
+        # Z9, Z3 x Z3; Z10, D5; Z11; Z12, Z2 x Z6, A4, Dic3, D6; Z13;
+        # Z14, D7; Z15, the first composite cyclic number
         with pytest.warns(RuntimeWarning):
-            rows = verify_theorem_small(12, cap=12)
+            rows = verify_theorem_small(15, cap=15)
         assert all(row.agree for row in rows)
         counts = [(row.group_count, row.cyclic_count) for row in rows[8:]]
-        assert counts == [(2, 1), (2, 1), (1, 1), (5, 1)]
+        assert counts == [(2, 1), (2, 1), (1, 1), (5, 1), (1, 1), (2, 1), (1, 1)]
 
     def test_order_twelve_multisets(self):
         with pytest.warns(RuntimeWarning):
@@ -161,12 +162,14 @@ class TestPropagatingSearch:
     @staticmethod
     def assert_matches_branching_oracle(n):
         found = _candidate_tables(n)
-        expected = candidate_tables(n)
-        assert sorted(found) == sorted(expected), n
+        unfiltered = candidate_tables(n)
+        assert found == [t for t in unfiltered if meets_search_bounds(t)], n
+        assert all(a < b for a, b in zip(found, found[1:])), n
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             classes = {c.table for c in enumerate_groups(n, cap=n)}
-        assert classes == {_canonical_form(t) for t in expected}, n
+        # Against the oracle without the two bounds: no class is lost.
+        assert classes == {_canonical_form(t) for t in unfiltered}, n
 
     def test_candidates_and_classes_up_to_nine(self):
         for n in range(1, 10):

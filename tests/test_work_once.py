@@ -44,15 +44,16 @@ def test_check_factorizes_once(monkeypatch, capsys, n, flags):
 
 
 def test_sieve_to_a_million_factorizes_no_cofactor(monkeypatch):
-    calls = count_calls(monkeypatch, "euler_phi", numtheory)
+    calls = count_calls(monkeypatch, "_large_cofactor_factors", numtheory)
     assert len(numtheory.cyclic_numbers(1, 10**6)) == 294609
     assert calls == []
 
 
 def test_sieve_factorizes_only_unmarked_large_cofactors(monkeypatch):
     # Above 10**6 the sieve factorizes the cofactor left after dividing out
-    # the primes up to 1000, but only for an odd n that no square of such
-    # a prime divides: even n and those n are settled without a totient.
+    # the primes up to 1000, with no second trial division, but only for
+    # an odd n that no square of such a prime divides: even n and those n
+    # are settled without a totient.
     lo, hi = 10**12, 10**12 + 300
     expected = 0
     for n in range(lo | 1, hi + 1, 2):
@@ -60,9 +61,11 @@ def test_sieve_factorizes_only_unmarked_large_cofactors(monkeypatch):
         small = [(p, a) for p, a in factors if p <= 1000]
         if all(a == 1 for _, a in small) and n // math.prod(p for p, _ in small) > 10**6:
             expected += 1
-    calls = count_calls(monkeypatch, "euler_phi", numtheory)
+    calls = count_calls(monkeypatch, "_large_cofactor_factors", numtheory)
+    trial = count_calls(monkeypatch, "factorize", numtheory)
     numtheory.cyclic_numbers(lo, hi)
     assert len(calls) == expected > 0
+    assert trial == []
 
 
 @pytest.mark.parametrize("n", [4, 6, 18, 100])
@@ -229,8 +232,9 @@ def test_enumerate_takes_one_order_pass_per_class(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["classes"] == len(calls) == 5
 
 
-def test_enumerate_takes_one_canonical_form_per_class(monkeypatch, capsys):
-    # Candidates that match a class found so far get no canonical form.
+def test_enumerate_takes_no_canonical_form(monkeypatch, capsys):
+    # The first candidate of each class is its canonical form.
     calls = count_calls(monkeypatch, "_canonical_form", cayley)
     assert cli.main(["enumerate", "8", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["classes"] == len(calls) == 5
+    assert json.loads(capsys.readouterr().out)["classes"] == 5
+    assert calls == []
