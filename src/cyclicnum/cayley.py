@@ -26,15 +26,13 @@ tested against the classes found so far with its element orders, by
 the same relabeling walk held to a class's canonical form, and no
 canonical form is computed.
 
-Order 12 takes about 0.1 s and order 15 a few hundredths of a second.
-Order 16 takes about 25 s, nearly all of it in those isomorphism
-tests, which is why going past the default cap warns and the hard cap
-stops at 15.
+Order 12 takes about 0.1 s and order 15 a few hundredths of a second,
+with no warning.  Order 16 takes about 25 s, nearly all of it in those
+isomorphism tests, which is why the hard cap stops at 15.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .errors import CapacityError
@@ -422,10 +420,10 @@ def _orders(table: Table) -> tuple[int, ...]:
 def enumerate_groups(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[CayleyTable]:
     """All groups of order n up to relabeling, as canonical-form tables.
 
-    Refuses n beyond the cap (default 8, hard limit HARD_ORDER_CAP = 15);
-    an order past the default emits a warning because the cost follows
-    the number of groups, not n: order 12 takes about 0.1 s against a few
-    milliseconds at order 8, and order 16, past the hard limit, about 25 s.
+    Refuses n beyond the cap (default 8, hard limit HARD_ORDER_CAP = 15).
+    The cost follows the number of groups, not n: order 12 takes about
+    0.1 s against a few milliseconds at order 8, and order 16, past the
+    hard limit, about 25 s.
     """
     if n < 1:
         raise ValueError("the order must be at least 1")
@@ -433,10 +431,6 @@ def enumerate_groups(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[CayleyTabl
     if n > effective:
         raise CapacityError(
             f"enumeration of order {n} exceeds the cap of {effective}"
-        )
-    if n > DEFAULT_ORDER_CAP:
-        warnings.warn(
-            f"enumerating groups of order {n} may take a while", RuntimeWarning, stacklevel=2
         )
     # The candidates are group tables by construction: skip re-validating
     # them.  They come in increasing order and include every class's

@@ -26,14 +26,15 @@ from .groups import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_SUBGROUP_BOUND,
     FiniteGroup,
+    _conjugates,
     _least_generator,
+    _normalizer,
+    _numbers,
     _orbit,
     _order_pass,
     closure,
-    count_conjugate_subgroups,
     is_abelian,
     maximal_subgroups,
-    normalizer,
 )
 from .numtheory import cyclic_numbers, factorize, gcd
 from .perm import Permutation
@@ -258,11 +259,12 @@ def _analyze_group(G: FiniteGroup) -> dict:
     if len(G) <= DEFAULT_SUBGROUP_BOUND:
         rows = []
         for H in sorted(maximal_subgroups(G), key=lambda H: (-len(H), H.elements)):
+            F = _numbers(G, H)  # normalizers and conjugates run on element numbers
             rows.append(
                 {
                     "size": len(H),
-                    "normalizer_size": len(normalizer(G, H)),
-                    "conjugate_count": count_conjugate_subgroups(G, H),
+                    "normalizer_size": len(_normalizer(G, F)),
+                    "conjugate_count": len(_conjugates(G, F)),
                 }
             )
         info["maximal_subgroups"] = rows

@@ -63,13 +63,16 @@ b^-1*x*b sends a base point p to b^-1(x(b(p))), so |base| reads of x
 and one lookup give its number, with no product.  The center is the
 numbers all these maps fix.  Conjugacy classes and the conjugates of a
 subgroup are their orbits, reached without a sweep over G; permutations
-are built only for what a public function returns.  A normalizer tests
-one element per coset.  Only the subgroup lattice, capped at order 64,
-builds an index multiplication table (|G|^2 entries), inside the call:
-a*b sends each base point to a's image of b's image of it, so the key
-of a*b is a's images at b's key, one lookup per base point.  The
+are built only for what a public function returns.  A normalizer of F
+tests one a per left coset a*F: a*h sends a base point p to a[h[p]], so
+the coset is lookups of a's images at F's keys, and f*a is in it when
+the number of f's images at a's key is.  Only the subgroup lattice,
+capped at order 64, builds an index multiplication table (|G|^2
+entries), inside the call: the key of a*b is a's images at b's key.  The
 lattice grows by cyclic extension, each subgroup an ``_orbit`` of the
-identity, so ``_orbit`` is the module's one breadth-first search.
+identity, so ``_orbit`` is the module's one breadth-first search; a join
+Lagrange's theorem forces to be G takes none, and maxima are found on
+the lattice's index sets.
 """
 
 from __future__ import annotations
@@ -625,38 +628,57 @@ def conjugate_subgroup(G: FiniteGroup, F: Subgroup, b: Permutation) -> Subgroup:
     return Subgroup._trusted(G, (ib * f * b for f in F.elements))
 
 
-def normalizer(G: FiniteGroup, F: Subgroup) -> Subgroup:
-    """Elements a with F*a = a*F; always a subgroup containing F.
+def _numbers(G: FiniteGroup, F: Subgroup) -> frozenset[int]:
+    return frozenset(G._dimino.index[G._dimino.key(f.images)] for f in F.elements)
+
+
+def _normalizer(G: FiniteGroup, F: frozenset[int]) -> list[int]:
+    """The numbers of the a with F*a = a*F, for F given by its numbers.
 
     N(F) is a union of left cosets of F, so one test per coset a*F keeps
     or drops the whole coset; F*a = a*F exactly when F*a lies in a*F.
+    Both are read on keys (see the module docstring), with no product.
     """
-    keep: list[Permutation] = []
-    for block in left_cosets(G, F):
-        a, coset = block[0], frozenset(block)
-        if all(f * a in coset for f in F.elements[1:]):
-            keep.extend(block)
-    return Subgroup._trusted(G, keep)
-
-
-def _conjugates(G: FiniteGroup, F: Subgroup) -> set[frozenset[int]]:
-    """The distinct conjugates of F, each as element numbers without the
-    identity, as the orbit of F under conjugation by the generators."""
     d = G._dimino
-    steps = [lambda S, c=c: frozenset(map(c, S)) for c in G._conjugations]
-    return _orbit(frozenset(d.index[d.key(f.images)] for f in F.elements[1:]), steps)
+    shape = _key(range(len(d.base)))  # a list of images at the base, as a key
+    F_keys = [[column[f] for column in d.columns] for f in F]
+    F_at = [d.reader(f) for f in F]
+    covered, keep = set(), []
+    for a in range(d.size):
+        if a not in covered:
+            at = d.reader(a)
+            coset = {d.index[shape([at(y) for y in ys])] for ys in F_keys}
+            covered |= coset
+            a_key = [at(p) for p in d.base]
+            if all(d.index[shape([f(y) for y in a_key])] in coset for f in F_at):
+                keep.extend(coset)
+    return keep
+
+
+def normalizer(G: FiniteGroup, F: Subgroup) -> Subgroup:
+    """Elements a with F*a = a*F; always a subgroup containing F.  Runs on
+    element numbers and builds permutations only for the result."""
+    _require_subgroup_of(G, F)
+    keep = _normalizer(G, _numbers(G, F))
+    return Subgroup._trusted(G, (Permutation._trusted(G._dimino.images_of(i)) for i in keep))
+
+
+def _conjugates(G: FiniteGroup, F: frozenset[int]) -> set[frozenset[int]]:
+    """The distinct conjugates of F, given by its element numbers, as the
+    orbit of F under conjugation by the generators."""
+    return _orbit(F, [lambda S, c=c: frozenset(map(c, S)) for c in G._conjugations])
 
 
 def count_conjugate_subgroups(G: FiniteGroup, F: Subgroup) -> int:
     """Number of distinct b^-1*F*b over b in G (including F), by enumeration."""
     _require_subgroup_of(G, F)
-    return len(_conjugates(G, F))
+    return len(_conjugates(G, _numbers(G, F)))
 
 
 def noncentral_union_size(G: FiniteGroup, F: Subgroup) -> int:
     """Count of non-central elements of G in the union of all conjugates of F."""
     _require_subgroup_of(G, F)
-    union = set().union(*_conjugates(G, F))
+    union = set().union(*_conjugates(G, _numbers(G, F)))
     return sum(1 for i in union if any(c(i) != i for c in G._conjugations))
 
 
@@ -677,20 +699,8 @@ def conjugate_only_to_powers(G: FiniteGroup, f: Permutation) -> bool:
     return conjugacy_class(G, f) <= generated_subgroup(G, f)._elem_set
 
 
-def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup of G, for groups of order up to DEFAULT_SUBGROUP_BOUND (64).
-
-    Cyclic extension (Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005): each subgroup found, starting
-    from the cyclic ones, is joined with every cyclic subgroup it lacks.
-    A chain of such joins reaches every <x1, ..., xr>, so the sweep is
-    exhaustive, with at most |G| + S*C orbits for S subgroups and C
-    cyclic ones.  A join is the ``_orbit`` of the identity under right
-    multiplication by the subgroup's generators and the new one, on
-    indices into G.elements, from an index table keyed on closure's
-    checked base (see the module docstring).  Results are sorted by
-    (order, element list).
-    """
+def _lattice(G: FiniteGroup) -> list[frozenset[int]]:
+    """Every subgroup of G as a set of indices into G.elements (see ``all_subgroups``)."""
     if len(G) > DEFAULT_SUBGROUP_BOUND:
         raise CapacityError(
             f"subgroup enumeration is limited to groups of order {DEFAULT_SUBGROUP_BOUND}"
@@ -707,33 +717,57 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     def generated(gens: tuple[int, ...]) -> frozenset[int]:
         return frozenset(_orbit(0, [right[b].__getitem__ for b in gens]))
 
-    cyclic = {generated((i,)): i for i in range(len(images))}
+    n = len(images)
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    # (|H|, ord c) -> whether |G| is the only divisor above |H| that lcm(|H|, ord c) divides
+    forces_G = {(h, k): all(m == n for m in divisors if m > h and m % lcm(h, k) == 0) for h in divisors for k in divisors}
+    cyclic = {generated((i,)): i for i in range(n)}
     known = {C: (c,) for C, c in cyclic.items()}
     work = list(known)
     for H in work:  # grows while it is read
-        for c in cyclic.values():
+        for C, c in cyclic.items():
             if c not in H:
                 gens = known[H] + (c,)
-                joined = generated(gens)
+                joined = frozenset(range(n)) if forces_G[len(H), len(C)] else generated(gens)
                 if joined not in known:
                     known[joined] = gens
                     work.append(joined)
-    elements = G.elements
-    subs = [Subgroup._trusted(G, (elements[i] for i in idxs)) for idxs in known]
-    subs.sort(key=lambda H: (len(H), H.elements))
-    return subs
+    return list(known)
+
+
+def _subgroups(G: FiniteGroup, sets: Iterable[frozenset[int]]) -> list[Subgroup]:
+    """Index sets into G.elements as subgroups, sorted by (order, element list)."""
+    return [Subgroup._trusted(G, map(G.elements.__getitem__, S)) for S in sorted(sets, key=lambda S: (len(S), sorted(S)))]
+
+
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup of G, for groups of order up to DEFAULT_SUBGROUP_BOUND (64).
+
+    Cyclic extension (Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005): each subgroup found, starting
+    from the cyclic ones, is joined with every cyclic subgroup it lacks.
+    A chain of such joins reaches every <x1, ..., xr>, so the sweep is
+    exhaustive.  A join is the ``_orbit`` of the identity under right
+    multiplication by the subgroup's generators and the new one, on
+    indices into G.elements, from an index table keyed on closure's
+    checked base (see the module docstring), unless Lagrange's theorem
+    forces it to be G: |<H, c>| divides |G|, exceeds |H| and is a multiple
+    of lcm(|H|, ord c).  That makes at most |G| + S*C orbits for S
+    subgroups and C cyclic ones.  Results are sorted by (order, elements).
+    """
+    return _subgroups(G, _lattice(G))
 
 
 def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Proper subgroups with more than one element, maximal by inclusion.
+    """Proper subgroups with more than one element, maximal by inclusion,
+    sorted by (order, element list); a group of prime order has none.
 
-    Note the "more than one element" clause: a group of prime order has no
-    maximal subgroups under this definition, since its only proper
-    subgroup is trivial.
+    Inclusion is decided on the lattice's index sets, largest first: a
+    proper subgroup is maximal when no maximum found before it contains
+    it, since each larger proper subgroup lies in one.
     """
-    proper = [H for H in all_subgroups(G) if 1 < len(H) < len(G)]
-    return [
-        H
-        for H in proper
-        if not any(H._elem_set < K._elem_set for K in proper)
-    ]
+    maxima: list[frozenset[int]] = []
+    for S in sorted(_lattice(G), key=len, reverse=True):
+        if 1 < len(S) < len(G) and not any(S < M for M in maxima):
+            maxima.append(S)
+    return _subgroups(G, maxima)

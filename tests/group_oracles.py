@@ -30,10 +30,13 @@ an element, and finds the generator among element numbers.
 whole image tuples; ``cyclicnum.groups`` reads the candidates one point
 at a time until one is left.
 
-The rest sweep all of G: the normalizer tests every element, and the
-conjugates of a subgroup or an element are taken over every b in G.
-``cyclicnum.groups`` computes the same answers with one test per coset
-of F and with orbits under conjugation by the generators.
+The rest sweep all of G: the normalizer tests every element with whole
+products, the conjugates of a subgroup or an element are taken over
+every b in G, and ``maximal_subgroups`` tests every pair of subgroups
+for inclusion on their element sets.  ``cyclicnum.groups`` computes the
+same answers on closure's element numbers, with one test per left coset
+a*F and no product, with orbits under conjugation by the generators,
+and with maximality decided largest first on the lattice's index sets.
 """
 
 from bisect import bisect_left
@@ -180,6 +183,13 @@ def subgroups(G):
     return sorted(subs, key=lambda H: (len(H), H.elements))
 
 
+def maximal_subgroups(G, subs):
+    """The subgroups among subs, every subgroup of G, with more than one
+    element that no other proper subgroup contains, in the order of subs."""
+    proper = [H for H in subs if 1 < len(H) < len(G)]
+    return [H for H in proper if not any(H._elem_set < K._elem_set for K in proper)]
+
+
 def conjugations(G):
     """For each generator b, the map x -> b^-1*x*b on Permutations, as two gathers."""
     steps = []
@@ -234,8 +244,12 @@ def least_generator(d, orders):
     return min((i for i, k in enumerate(orders) if k == d.size), key=d.images_of, default=None)
 
 
-def normalizer(G, F):
-    """The set of a in G with F*a == a*F."""
+def normalizer(G, F, generators=None):
+    """The set of a in G with F*a == a*F.  Given generators of F, the set
+    of a with a^-1*x*a in F for each generator x instead: the same set,
+    since a^-1*F*a has |F| elements and is generated by those conjugates."""
+    if generators is not None:
+        return {a for a in G.elements if all(a.inverse() * x * a in F._elem_set for x in generators)}
     return {
         a
         for a in G.elements

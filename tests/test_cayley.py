@@ -129,22 +129,25 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_groups(16, cap=20)
 
-    def test_above_default_warns(self):
-        with pytest.warns(RuntimeWarning):
+    def test_above_default_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             classes = enumerate_groups(9, cap=10)
         assert len(classes) == 2
 
     def test_orders_nine_to_fifteen_match_a000001(self):
         # Z9, Z3 x Z3; Z10, D5; Z11; Z12, Z2 x Z6, A4, Dic3, D6; Z13;
         # Z14, D7; Z15, the first composite cyclic number
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rows = verify_theorem_small(15, cap=15)
         assert all(row.agree for row in rows)
         counts = [(row.group_count, row.cyclic_count) for row in rows[8:]]
         assert counts == [(2, 1), (2, 1), (1, 1), (5, 1), (1, 1), (2, 1), (1, 1)]
 
     def test_order_twelve_multisets(self):
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             classes = enumerate_groups(12, cap=12)
         assert sorted(element_orders(c) for c in classes) == sorted([
             (1, 2, 3, 3, 4, 4, 6, 6, 12, 12, 12, 12),  # Z12
@@ -165,9 +168,7 @@ class TestPropagatingSearch:
         unfiltered = candidate_tables(n)
         assert found == [t for t in unfiltered if meets_search_bounds(t)], n
         assert all(a < b for a, b in zip(found, found[1:])), n
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            classes = {c.table for c in enumerate_groups(n, cap=n)}
+        classes = {c.table for c in enumerate_groups(n, cap=n)}
         # Against the oracle without the two bounds: no class is lost.
         assert classes == {_canonical_form(t) for t in unfiltered}, n
 

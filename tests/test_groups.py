@@ -513,6 +513,8 @@ class TestAgainstSweepOracles:
             elements = first_of_each_order(G, n)
             subgroups = [cn.generated_subgroup(G, g) for g in elements]
             self.assert_matches_conjugation_oracles(G, subgroups, n)
+            for g, F in zip(elements, subgroups):
+                assert set(cn.normalizer(G, F).elements) == oracle.normalizer(G, F, [g]), n
             for g in elements:
                 K = cn.closure([g])
                 assert cn.is_cyclic(K) == oracle.is_cyclic(K), (n, g)
@@ -691,9 +693,34 @@ class TestCheckedBase:
     closure's base; the oracles use whole image tuples.  The order pass
     is compared on the corpus and the witnesses in TestAgainstProductOracles."""
 
+    @staticmethod
+    def assert_lattice_matches_oracle(G, subgroups, label):
+        """The lattice and the maxima against the oracle's, and analyze's
+        maximal-subgroup rows against the oracle's sweeps over G."""
+        expected = oracle.subgroups(G)
+        assert [H.elements for H in subgroups] == [H.elements for H in expected], label
+        maxima = oracle.maximal_subgroups(G, expected)
+        assert [H.elements for H in cn.maximal_subgroups(G)] == [H.elements for H in maxima], label
+        rows = [
+            {
+                "size": len(H),
+                "normalizer_size": len(oracle.normalizer(G, H)),
+                "conjugate_count": len(oracle.conjugate_subgroups(G, H)),
+            }
+            for H in sorted(maxima, key=lambda H: (-len(H), H.elements))
+        ]
+        assert _analyze_group(G)["maximal_subgroups"] == rows, label
+
     def test_corpus_lattices(self, corpus_subgroups):
         for name, (G, subgroups) in corpus_subgroups.items():
-            assert [H.elements for H in subgroups] == [H.elements for H in oracle.subgroups(G)], name
+            self.assert_lattice_matches_oracle(G, subgroups, name)
+
+    def test_witness_lattices_up_to_64(self, witness_closures):
+        # The corpus holds the witnesses up to 60.
+        for n, (gens, _) in witness_closures.items():
+            if 60 < n <= 64:
+                G = cn.closure(gens)
+                self.assert_lattice_matches_oracle(G, cn.all_subgroups(G), n)
 
     @pytest.mark.parametrize(
         "gens,points",
@@ -713,6 +740,19 @@ class TestCheckedBase:
         assert len(assert_base(G, len(G))) == points
         orders = cn.all_element_orders(G)
         assert orders == [cn.perm_order(g) for g in G.elements] == oracle.element_orders(G)
+        assert [H.elements for H in cn.all_subgroups(G)] == [H.elements for H in oracle.subgroups(G)]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_quaternion_group_times_cyclic(self, q8, m):
+        # Q8 x Zm: two cyclic subgroups of order 4 that share -1 generate a
+        # proper subgroup of order 8 (Q8 itself, and for m = 2 also i with
+        # j*z, z the central element of order 2), so a Lagrange test that
+        # took |H| * ord c for lcm(|H|, ord c) would call these joins G
+        # and lose subgroups.
+        gens = [Permutation(list(g.images) + list(range(8, 8 + m))) for g in q8.generators]
+        gens.append(Permutation(list(range(8)) + [8 + (i + 1) % m for i in range(m)]))
+        G = cn.closure(gens)
+        assert len(G) == 8 * m
         assert [H.elements for H in cn.all_subgroups(G)] == [H.elements for H in oracle.subgroups(G)]
 
     def test_lattice_of_order_64(self):

@@ -127,14 +127,35 @@ def test_closure_takes_under_1_6_products_per_element_up_to_200(monkeypatch):
 
 @pytest.mark.parametrize("n", [12, 54, 62, 128, 2310])
 def test_order_pass_and_lattice_take_no_products(monkeypatch, n):
-    # Both key each element by its images on a base: no gathered product.
+    # All three key each element by its images on a base: no gathered
+    # product.  The normalizer's test per coset runs on element numbers;
+    # only the public function builds its result's permutations.
     G = closure(build_witness(n).generators)
     G.elements  # built on first read
+    subgroups = [generated_subgroup(G, g) for g in G.elements[1:6]]
+    if n <= groups.DEFAULT_SUBGROUP_BOUND:
+        subgroups = groups.all_subgroups(G)
+    numbers = [groups._numbers(G, F) for F in subgroups]
     products = count_products(monkeypatch)
     groups.all_element_orders(G)
     if n <= groups.DEFAULT_SUBGROUP_BOUND:
         groups.all_subgroups(G)
+        groups.maximal_subgroups(G)
+    for F in numbers:
+        groups._normalizer(G, F)
     assert products == []
+
+
+def test_lattice_of_the_order_62_witness_takes_an_orbit_per_element_and_subgroup(monkeypatch):
+    # D31 has 34 subgroups.  Every join of a subgroup of order 2 or 31
+    # with a cyclic subgroup it lacks is G by Lagrange's theorem, so only
+    # the cyclic subgroups and the joins of the trivial group take orbits:
+    # 62 + 32 = 94.
+    G = closure(build_witness(62).generators)
+    orbits = count_calls(monkeypatch, "_orbit", groups)
+    subgroups = groups.all_subgroups(G)
+    assert len(subgroups) == 34
+    assert len(orbits) <= len(G) + len(subgroups)
 
 
 @pytest.mark.parametrize("k", [5, 6])
