@@ -13,8 +13,10 @@ Brent's cycle finding (Brent 1980) from fixed seeds.  The worst case
 below 2**63, a product of two primes near 2**31, factors in tens of
 milliseconds.  The exception is ``element_of_order(p1, p2)``, which takes
 about sqrt(p2) modular steps when p1 is near sqrt(p2), some 2**31 for p2
-near 2**62.  ``build_witness`` never gets there, since under DEGREE_CAP
-its p2 is at most 100.
+near 2**62.  ``build_witness`` never gets there: an arrow witness has
+degree at least p2, so under DEGREE_CAP its p2 is below 10000 and the
+call takes at most about 100 modular steps.  Only direct library calls,
+or a ``max_degree`` raised far past DEGREE_CAP, reach the slow case.
 
 ``cyclic_numbers`` is a segmented totient sieve over odd n only, with
 fixed-size windows.  Two kinds of n are settled without a gcd, because a
@@ -286,8 +288,11 @@ def element_of_order(p1: int, p2: int) -> int:
     modular steps, the scan's share as an expectation, and the result is
     the same either way.  The worst case, p1 near sqrt(p2), is about
     sqrt(p2) steps for either branch, which is not practical for p2 near
-    MAX_INPUT.  ``build_witness`` never reaches it under DEGREE_CAP: an
-    arrow witness has degree at least p2**2, so p2 is at most 100.
+    MAX_INPUT.  ``build_witness`` never reaches it: an arrow witness has
+    degree at least p2, so under DEGREE_CAP p2 is below 10000 and the
+    call takes at most about 100 modular steps.  Only direct library
+    calls, or a ``max_degree`` raised far past DEGREE_CAP, reach the
+    slow case.
     """
     if not is_prime(p1):
         raise ValueError(f"p1 must be prime, got {p1}")

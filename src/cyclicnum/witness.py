@@ -6,10 +6,10 @@ For any n that fails the cyclic-number test there is a concrete witness:
   lengths p and n/p generate an abelian group of order n in which no
   element has order above n/p.
 * "arrow": n is squarefree but some prime pair p1 < p2 dividing n has
-  p1 dividing p2 - 1.  On the p2*p2 grid (point (x, y) stored at index
-  x*p2 + y) the maps (x, y) -> (a^k * x, l*x + y) with a of
-  multiplicative order p1 mod p2 form a non-abelian group of order
-  p1*p2; a trailing cycle of length n/(p1*p2) pads the order up to n.
+  p1 dividing p2 - 1.  With a of multiplicative order p1 mod p2, the
+  maps x ↦ aᵏx + l on Z_p2 form a non-abelian group of order p1*p2,
+  generated by x ↦ a·x and x ↦ x + 1; a trailing cycle of length
+  n/(p1*p2) pads the order up to n.
 
 A certificate records n, which construction was used, its parameters and
 the generators.  Parsing one runs the same construction checks as building
@@ -56,7 +56,7 @@ def _square_degree(n: int, p) -> int:
 
 
 def _arrow_degree(n: int, p1, p2) -> int:
-    """Degree p2*p2, plus n/(p1*p2) when that is above 1, of the arrow witness.
+    """Degree p2, plus n/(p1*p2) when that is above 1, of the arrow witness.
 
     p1 and p2 must be primes with p1 | p2 - 1 and p1*p2 | n.
     """
@@ -71,7 +71,7 @@ def _arrow_degree(n: int, p1, p2) -> int:
         if not is_prime(value):
             raise ValueError(f"arrow witness needs a prime parameter {name}")
     m = n // (p1 * p2)
-    return p2 * p2 + (m if m > 1 else 0)
+    return p2 + (m if m > 1 else 0)
 
 
 def _check_multiplier(p1: int, p2: int, a) -> None:
@@ -152,13 +152,13 @@ def witness_square_case(n: int, p: int, *, max_degree: int = DEGREE_CAP) -> Witn
 
 
 def affine_map(p1: int, p2: int, a: int, k: int, l: int) -> Permutation:
-    """The permutation (x, y) -> (a^k * x mod p2, (l*x + y) mod p2) on p2*p2 points.
+    """The permutation x -> a^k * x + l mod p2 on p2 points.
 
     Composing two of these (right factor applied first) gives
-    (k, l) * (k', l') = (k + k' mod p1, l * a^k' + l' mod p2), which is how
+    (k, l) * (k', l') = (k + k' mod p1, l + a^k * l' mod p2), which is how
     the arrow-case group multiplies.
     """
-    grid = _arrow_degree(p1 * p2, p1, p2)
+    _arrow_degree(p1 * p2, p1, p2)
     _check_multiplier(p1, p2, a)
     _check_int("k", k)
     _check_int("l", l)
@@ -167,27 +167,15 @@ def affine_map(p1: int, p2: int, a: int, k: int, l: int) -> Permutation:
     if not 0 <= l < p2:
         raise ValueError(f"l must lie in [0, {p2})")
     ak = pow(a, k, p2)
-    images = [0] * grid
-    for x in range(p2):
-        akx = ak * x % p2
-        lx = l * x
-        base = akx * p2
-        xrow = x * p2
-        for y in range(p2):
-            images[xrow + y] = base + (lx + y) % p2
-    return Permutation._trusted(tuple(images))
-
-
-def _embed(f: Permutation, degree: int) -> Permutation:
-    """Extend f to a larger degree by fixing the new points."""
-    return Permutation._trusted(tuple(f.images) + tuple(range(f.degree, degree)))
+    return Permutation._trusted(tuple([(ak * x + l) % p2 for x in range(p2)]))
 
 
 def witness_arrow_case(n: int, p1: int, p2: int, *, max_degree: int = DEGREE_CAP) -> WitnessCertificate:
     """Witness for p1 | p2 - 1 with p1*p2 | n, n squarefree in the intended use.
 
-    Generators are the affine maps (1, 0) and (0, 1); when n exceeds p1*p2
-    a trailing cycle on n/(p1*p2) extra points restores the full order.
+    Generators are the affine maps x -> a*x and x -> x + 1, fixing the
+    points from p2 on; when n exceeds p1*p2 a trailing cycle on n/(p1*p2)
+    extra points restores the full order.
     """
     _check_int("n", n)
     _check_positive(n)
@@ -195,13 +183,10 @@ def witness_arrow_case(n: int, p1: int, p2: int, *, max_degree: int = DEGREE_CAP
     if degree > max_degree:
         raise CapacityError(f"witness degree {degree} exceeds the cap of {max_degree}")
     a = element_of_order(p1, p2)
-    gens = [
-        _embed(affine_map(p1, p2, a, 1, 0), degree),
-        _embed(affine_map(p1, p2, a, 0, 1), degree),
-    ]
-    grid = p2 * p2
-    if degree > grid:
-        gens.append(cycle(range(grid, degree), degree))
+    fixed = tuple(range(p2, degree))
+    gens = [Permutation._trusted(affine_map(p1, p2, a, k, l).images + fixed) for k, l in ((1, 0), (0, 1))]
+    if fixed:
+        gens.append(cycle(fixed, degree))
     return WitnessCertificate(n, "arrow", {"p1": p1, "p2": p2, "a": a}, degree, tuple(gens))
 
 

@@ -37,12 +37,16 @@ for inclusion on their element sets.  ``cyclicnum.groups`` computes the
 same answers on closure's element numbers, with one test per left coset
 a*F and no product, with orbits under conjugation by the generators,
 and with maximality decided largest first on the lattice's index sets.
+
+``grid_arrow_generators`` is not an oracle but an input: the arrow
+group Z_p2 ⋊ Z_p1 encoded on a p2*p2 grid, degree p2**2, which gives
+the closure tests generators of high degree for a small group.
 """
 
 from bisect import bisect_left
 from math import gcd
 
-from cyclicnum import CapacityError, Permutation, Subgroup, generated_subgroup, identity
+from cyclicnum import CapacityError, Permutation, Subgroup, element_of_order, generated_subgroup, identity
 from cyclicnum.perm import _gather
 
 
@@ -275,3 +279,13 @@ def conjugate_only_to_powers(G, f):
     """Whether b^-1*f*b is a power of f for every b in G."""
     powers = set(generated_subgroup(G, f).elements)
     return all(b.inverse() * f * b in powers for b in G.elements)
+
+
+def grid_arrow_generators(p1, p2):
+    """Generators of Z_p2 ⋊ Z_p1 on p2*p2 grid points: the maps
+    (x, y) -> (a*x, y) and (x, y) -> (x, x + y) mod p2, with point (x, y)
+    at index x*p2 + y and a of multiplicative order p1 mod p2."""
+    a = element_of_order(p1, p2)
+    scale = [a * x % p2 * p2 + y for x in range(p2) for y in range(p2)]
+    shear = [x * p2 + (x + y) % p2 for x in range(p2) for y in range(p2)]
+    return [Permutation(scale), Permutation(shear)]

@@ -37,12 +37,30 @@ def test_criterion_1_characterizations_agree():
     print(f"\ncriterion 1: PASS (1..{SWEEP_LIMIT} agree, {elapsed:.2f}s)")
 
 
+def grid_era_uncovered_arrow_orders():
+    """The squarefree n <= 20000 with an arrow pair whose witness on a
+    p2*p2 grid, of degree p2**2 + n/(p1*p2) above 1, exceeded DEGREE_CAP."""
+    out = []
+    for n in range(1, 20001):
+        report = cn.check_conditions(n)
+        if report.square_prime is None and report.arrow_pair is not None:
+            p1, p2 = report.arrow_pair
+            m = n // (p1 * p2)
+            if p2 * p2 + (m if m > 1 else 0) > cn.DEGREE_CAP:
+                out.append(n)
+    return out
+
+
 def test_criterion_2_witness_sweep():
     """Every non-cyclic number up to 120 yields a certificate whose group
-    has order exactly n and maximum element order below n, in under 30s."""
+    has order exactly n and maximum element order below n, and so do 202,
+    19946 and every 25th arrow order up to 20000 that the p2*p2 grid
+    witness could not reach under DEGREE_CAP, in under 30s."""
     t0 = time.perf_counter()
+    uncovered = grid_era_uncovered_arrow_orders()
+    assert len(uncovered) == 2206 and uncovered[0] == 202
     checked = 0
-    for n in range(1, WITNESS_LIMIT + 1):
+    for n in [*range(1, WITNESS_LIMIT + 1), *uncovered[::25], 202, 19946]:
         cert = cn.build_witness(n)
         if cn.is_cyclic_number(n):
             assert cert is None
@@ -207,7 +225,7 @@ def test_criterion_6_affine_composition_law():
         }
         for (k, l), f in maps.items():
             for (k2, l2), g in maps.items():
-                expected = maps[(k + k2) % p1, (l * pow(a, k2, p2) + l2) % p2]
+                expected = maps[(k + k2) % p1, (l + pow(a, k, p2) * l2) % p2]
                 assert f * g == expected
                 total += 1
     elapsed = time.perf_counter() - t0

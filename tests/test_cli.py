@@ -90,7 +90,7 @@ class TestWitness:
         assert list(cert) == ["n", "reason", "params", "degree", "generators"]
         assert cert["reason"] == "arrow"
         assert cert["params"] == {"p1": 2, "p2": 3, "a": 2}
-        assert cert["degree"] == 9
+        assert cert["degree"] == 3
 
     def test_bytes_deterministic(self, capsys):
         _, first, _ = run(capsys, "witness", "4")
@@ -109,10 +109,10 @@ class TestWitness:
         assert "cyclic number" in err
 
     def test_degree_cap(self, capsys):
-        rc, _, err = run(capsys, "witness", "202")
+        rc, _, err = run(capsys, "witness", "20000")
         assert rc == 2 and "cap" in err
-        rc, out, _ = run(capsys, "witness", "202", "--max-degree", "10201")
-        assert rc == 0 and json.loads(out)["degree"] == 10201
+        rc, out, _ = run(capsys, "witness", "20000", "--max-degree", "10002")
+        assert rc == 0 and json.loads(out)["degree"] == 10002
 
 
 class TestVerify:

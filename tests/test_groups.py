@@ -122,9 +122,9 @@ class TestGeneratedSubgroupAndCyclicity:
         assert len(H) == 3
 
     def test_size_equals_element_order(self, d4, q8, w30):
-        # The n = 38 witness acts on 19^2 points.
-        w38 = cn.closure(cn.build_witness(38).generators)
-        assert w38.degree == 361
+        # Z19 ⋊ Z2 on a grid of 19^2 points.
+        w38 = cn.closure(oracle.grid_arrow_generators(2, 19))
+        assert len(w38) == 38 and w38.degree == 361
         for G in (d4, q8, w30, w38):
             for g in G:
                 H = cn.generated_subgroup(G, g)
@@ -506,7 +506,7 @@ class TestAgainstSweepOracles:
     def test_witnesses_up_to_200(self, witness_closures):
         # One cyclic subgroup of each element order; each one's closure
         # has several generators for is_cyclic to choose among.
-        for n, (gens, _) in witness_closures.items():
+        for n, gens, _ in witness_closures:
             if n > 200:
                 continue
             G = cn.closure(gens)
@@ -559,13 +559,12 @@ def first_of_each_order(G, up_to):
 
 @pytest.fixture(scope="module")
 def witness_closures():
-    """n -> (generators, the oracle's element set) for every non-cyclic
-    n <= 200 and the arrow witnesses 166 and 237, of degree above 6000."""
-    out = {}
-    for n in [n for n in range(2, 201) if not cn.is_cyclic_number(n)] + [166, 237]:
-        gens = cn.build_witness(n).generators
-        out[n] = (gens, oracle.closure(gens, 20000))
-    return out
+    """(n, generators, the oracle's element set) for the witness of every
+    non-cyclic n <= 200, then for the arrow groups of orders 166 and 237
+    on grids of degree above 6000."""
+    gens_of = [(n, cn.build_witness(n).generators) for n in range(2, 201) if not cn.is_cyclic_number(n)]
+    gens_of += [(n, oracle.grid_arrow_generators(p1, p2)) for n, p1, p2 in [(166, 2, 83), (237, 3, 79)]]
+    return [(n, gens, oracle.closure(gens, 20000)) for n, gens in gens_of]
 
 
 def stage_sizes(gens):
@@ -606,8 +605,8 @@ class TestAgainstProductOracles:
         assert orders == [cn.perm_order(g) for g in G.elements] == oracle.element_orders(G), label
 
     def test_witnesses_up_to_200_and_two_above_degree_6000(self, witness_closures):
-        assert cn.build_witness(166).degree > 6000 and cn.build_witness(237).degree > 6000
-        for n, (gens, elements) in witness_closures.items():
+        assert [(n, gens[0].degree) for n, gens, _ in witness_closures[-2:]] == [(166, 6889), (237, 6241)]
+        for n, gens, elements in witness_closures:
             G = cn.closure(gens)
             assert len(G) == n
             assert set(G.elements) == elements, n
@@ -618,7 +617,7 @@ class TestAgainstProductOracles:
 
     @pytest.mark.parametrize("n", [2310, 19995])
     def test_every_generator_order_of_three_generator_witnesses(self, n):
-        # 19995: p1 = 3, p2 = 31 and a 215-cycle, degree 1176, near the cap.
+        # 19995: p1 = 3, p2 = 31 and a 215-cycle, degree 246, near the cap.
         gens = cn.build_witness(n).generators
         assert len(gens) == 3
         expected = sorted(oracle.closure(gens, 20000))
@@ -627,7 +626,7 @@ class TestAgainstProductOracles:
             assert list(cn.closure(order).elements) == expected, order
 
     def test_identity_duplicate_and_product_generators(self, witness_closures):
-        for n, (gens, elements) in witness_closures.items():
+        for n, gens, elements in witness_closures:
             e = identity(gens[0].degree)
             for redundant in (
                 [e, *gens],
@@ -659,7 +658,7 @@ class TestAgainstProductOracles:
 
     def test_cap_is_exact(self, witness_closures):
         # At, just below and just above the size of each Dimino stage.
-        for n, (gens, _) in witness_closures.items():
+        for n, gens, _ in witness_closures:
             sizes = stage_sizes(gens)
             assert sizes[-1] == n
             for size in sizes:
@@ -717,7 +716,7 @@ class TestCheckedBase:
 
     def test_witness_lattices_up_to_64(self, witness_closures):
         # The corpus holds the witnesses up to 60.
-        for n, (gens, _) in witness_closures.items():
+        for n, gens, _ in witness_closures:
             if 60 < n <= 64:
                 G = cn.closure(gens)
                 self.assert_lattice_matches_oracle(G, cn.all_subgroups(G), n)

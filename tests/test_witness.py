@@ -49,7 +49,7 @@ class TestSquareCase:
 
 class TestAffineMap:
     def test_exponent_zero_zero_is_identity(self):
-        assert affine_map(2, 3, 2, 0, 0) == cn.identity(9)
+        assert affine_map(2, 3, 2, 0, 0) == cn.identity(3)
 
     def test_composition_law_samples(self):
         p1, p2 = 3, 7
@@ -57,7 +57,7 @@ class TestAffineMap:
         for k, l, k2, l2 in [(1, 2, 2, 5), (0, 6, 1, 0), (2, 2, 2, 2)]:
             lhs = affine_map(p1, p2, a, k, l) * affine_map(p1, p2, a, k2, l2)
             rhs = affine_map(
-                p1, p2, a, (k + k2) % p1, (l * pow(a, k2, p2) + l2) % p2
+                p1, p2, a, (k + k2) % p1, (l + pow(a, k, p2) * l2) % p2
             )
             assert lhs == rhs
 
@@ -77,7 +77,7 @@ class TestAffineMap:
 class TestArrowCase:
     def test_n6_matches_published_shape(self):
         cert = witness_arrow_case(6, 2, 3)
-        assert cert.degree == 9
+        assert cert.degree == 3
         assert cert.params == {"p1": 2, "p2": 3, "a": 2}
         assert len(cert.generators) == 2
         report = verify_certificate(cert)
@@ -85,7 +85,7 @@ class TestArrowCase:
 
     def test_n30_appends_five_cycle(self):
         cert = witness_arrow_case(30, 2, 3)
-        assert cert.degree == 9 + 5
+        assert cert.degree == 3 + 5
         assert len(cert.generators) == 3
         report = verify_certificate(cert)
         assert report.group_size == 30 and report.max_element_order == 15
@@ -110,7 +110,7 @@ class TestArrowCase:
 
     def test_degree_cap(self):
         with pytest.raises(CapacityError):
-            witness_arrow_case(202, 2, 101)
+            witness_arrow_case(202, 2, 101, max_degree=100)
 
 
 class TestBuildWitness:
@@ -140,9 +140,32 @@ class TestBuildWitness:
 
     def test_degree_cap_propagates(self):
         with pytest.raises(CapacityError):
-            build_witness(202)
-        cert = build_witness(202, max_degree=10201)
-        assert cert.degree == 10201
+            build_witness(20000)
+        cert = build_witness(20000, max_degree=10002)
+        assert cert.degree == 10002
+
+    def test_only_20000_exceeds_the_default_cap_up_to_20000(self):
+        # The degree formulas p + n/p and p2 + n/(p1*p2), computed here.
+        over, widest_arrow = [], (0, 0)
+        for n in range(1, 20001):
+            report = cn.check_conditions(n)
+            if report.square_prime is not None:
+                p = report.square_prime
+                degree = p + n // p
+            elif report.arrow_pair is not None:
+                p1, p2 = report.arrow_pair
+                m = n // (p1 * p2)
+                degree = p2 + (m if m > 1 else 0)
+                widest_arrow = max(widest_arrow, (degree, n))
+            else:
+                continue
+            if degree > cn.DEGREE_CAP:
+                over.append(n)
+        assert over == [20000]
+        with pytest.raises(CapacityError, match="exceeds the cap of 10000"):
+            build_witness(20000)
+        assert widest_arrow == (9973, 19946)
+        assert build_witness(19946).degree == 9973
 
     def test_verified_sweep_to_40(self):
         for n in range(2, 41):
@@ -159,12 +182,15 @@ class TestCertificateValidation:
         good = build_witness(6)
         with pytest.raises(ValueError):
             WitnessCertificate(6, "arrow", dict(good.params), 10, good.generators)
+        # the grid-era arrow degree p2**2 no longer parses
+        with pytest.raises(ValueError, match="must have degree 3"):
+            WitnessCertificate(6, "arrow", dict(good.params), 9, (cn.identity(9),))
 
     def test_wrong_multiplier_rejected(self):
         good = build_witness(6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="multiplicative order"):
             WitnessCertificate(
-                6, "arrow", {"p1": 2, "p2": 3, "a": 1}, 9, good.generators
+                6, "arrow", {"p1": 2, "p2": 3, "a": 1}, 3, good.generators
             )
 
     def test_multiplier_order_decided_exactly(self):
@@ -191,7 +217,7 @@ class TestCertificateValidation:
     def test_dropped_generator_parses_but_fails_verification(self):
         good = build_witness(6)
         tampered = WitnessCertificate(
-            6, "arrow", dict(good.params), 9, good.generators[:1]
+            6, "arrow", dict(good.params), 3, good.generators[:1]
         )
         report = verify_certificate(tampered)
         assert not report.order_ok
@@ -265,7 +291,7 @@ class TestSharedConstructionChecks:
             for p1 in range(1, 14):
                 for p2 in range(1, 14):
                     m = n // (p1 * p2)
-                    degree = p2 * p2 + (m if m > 1 else 0)
+                    degree = p2 + (m if m > 1 else 0)
                     parsed = any(
                         parses(n, "arrow", {"p1": p1, "p2": p2, "a": a}, degree) for a in range(p2 + 1)
                     )
