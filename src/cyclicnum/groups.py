@@ -55,8 +55,13 @@ representatives and power of g.  Distinct walks generate
 distinct cyclic subgroups, so the pass follows at most sum |C| cycle
 steps per base point over the cyclic subgroups C of G.  Since
 |G| = sum phi(|C|), that is at most |G| * max k/phi(k), under 5 for
-|G| <= 20000.  ``max_element_order`` and ``all_element_orders`` run this
-one pass; the latter reads each sorted element's order at its key.
+|G| <= 20000.  ``all_element_orders`` runs this one pass and reads each
+sorted element's order at its key.  ``max_element_order`` runs it only
+for a non-abelian G.  An abelian G's largest element order is its
+exponent, the lcm of its generators' orders, which closure computed
+from their cycles: every element's order divides that lcm, and a finite
+abelian group has an element whose order is its exponent (Seress 2003;
+Holt, Eick and O'Brien 2005).
 
 Conjugation runs on closure's element numbers: for a generator b,
 b^-1*x*b sends a base point p to b^-1(x(b(p))), so |base| reads of x
@@ -216,9 +221,18 @@ class Subgroup(_ElementSet):
         return f"<Subgroup of order {len(self.elements)} in group of order {len(self.parent)}>"
 
 
-def _require_member(G: FiniteGroup, g: Permutation, name: str = "element") -> None:
-    if g not in G._elem_set:
+def _require_member(G: FiniteGroup, g: Permutation, name: str = "element") -> int:
+    """g's number in closure's numbering, or ValueError if g is not in G.
+
+    One key lookup and one whole-tuple confirm, so G.elements is not
+    built: the base tells G's elements apart, but a permutation outside G
+    can share a key with one of them.
+    """
+    d = G._dimino
+    i = d.index.get(d.key(g.images)) if g.degree == G.degree else None
+    if i is None or d.images_of(i) != g.images:
         raise ValueError(f"{name} is not a member of the group")
+    return i
 
 
 def _require_subgroup_of(G: FiniteGroup, F: Subgroup) -> None:
@@ -258,7 +272,8 @@ class _Dimino:
     A stage (h, reps) holds the order h of the group before it and its
     left coset representatives; element h*(c+1) + i is reps[c] after
     element i.  ``columns`` holds each base point's image under every
-    element, and ``index`` maps each key to its element.
+    element, and ``index`` maps each key to its element.  ``orders``
+    holds each generator's order, in the order given.
     """
 
     def __init__(self, gens: list[tuple[int, ...]], max_size: int):
@@ -267,11 +282,13 @@ class _Dimino:
         if max_size < 1:
             raise self._over(0, m)
         self.k = 0
+        self.orders: list[int] = []
         for g in gens:
             cycles = _cycles(g)
             k = lcm(*map(len, cycles))
             if k > max_size:
                 raise self._over(max_size, m)
+            self.orders.append(k)
             if k > self.k:
                 self.k, self.first, self.cycles = k, g, cycles
         self.cycle_of: list[list[int]] = [[]] * m
@@ -519,8 +536,14 @@ def all_element_orders(G: FiniteGroup) -> list[int]:
 
 
 def max_element_order(G: FiniteGroup) -> int:
-    """The largest element order in G, from one order pass on closure's
-    keys, so no element tuple is built."""
+    """The largest element order in G, and no element tuple is built.
+
+    For an abelian G it is the lcm of the generator orders closure
+    computed, G's exponent (see the module docstring), so no element is
+    read.  Otherwise one order pass on closure's keys gives it.
+    """
+    if is_abelian(G):
+        return lcm(*G._dimino.orders)
     return max(_order_pass(G._dimino))
 
 
@@ -549,9 +572,11 @@ def is_cyclic(G: FiniteGroup) -> Permutation | None:
 
 
 def is_abelian(G: FiniteGroup) -> bool:
-    # Pairwise commuting generators force the whole group to commute.
+    # Pairwise commuting generators force the whole group to commute.  A
+    # generator commutes with itself and the test is symmetric, so each
+    # unordered pair of distinct generators is tested once.
     gens = G.generators
-    return all(a * b == b * a for a in gens for b in gens)
+    return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :])
 
 
 def left_cosets(G: FiniteGroup, H: Subgroup) -> list[tuple[Permutation, ...]]:
@@ -615,9 +640,8 @@ def _orbit(start, steps) -> set:
 
 def conjugacy_class(G: FiniteGroup, g: Permutation) -> frozenset[Permutation]:
     """All b^-1*g*b, as the orbit of g's number under conjugation by the generators."""
-    _require_member(G, g)
     d = G._dimino
-    orbit = _orbit(d.index[d.key(g.images)], G._conjugations)
+    orbit = _orbit(_require_member(G, g), G._conjugations)
     return frozenset(Permutation._trusted(d.images_of(i)) for i in orbit)
 
 

@@ -209,9 +209,12 @@ def verify_certificate(cert: WitnessCertificate, *, max_size: int = DEFAULT_CLOS
     """Recompute the group from the certificate's generators and re-check it.
 
     Nothing is taken on faith: the closure is rebuilt and its size compared
-    with n.  One pass computes every element order, on closure's keys, so
-    no element tuple is built; since each order divides |G|, the group is
-    cyclic exactly when the largest reaches |G|.
+    with n.  Since each element order divides |G|, the group is cyclic
+    exactly when the largest reaches |G|.  When the generators commute,
+    the largest is the lcm of their orders, which closure computed from
+    their cycles; otherwise one pass computes every element order, on
+    closure's keys.  Either way no element tuple is built and no
+    certificate field but the generators is read.
     """
     G = closure(cert.generators, max_size=max_size)
     max_order = max_element_order(G)

@@ -38,6 +38,10 @@ same answers on closure's element numbers, with one test per left coset
 a*F and no product, with orbits under conjugation by the generators,
 and with maximality decided largest first on the lattice's index sets.
 
+``is_abelian`` tests every ordered pair of generators;
+``cyclicnum.groups`` tests each unordered pair of distinct generators
+once.
+
 ``grid_arrow_generators`` is not an oracle but an input: the arrow
 group Z_p2 ⋊ Z_p1 encoded on a p2*p2 grid, degree p2**2, which gives
 the closure tests generators of high degree for a small group.
@@ -241,6 +245,11 @@ def center(G):
 def is_cyclic(G):
     """The first element of G.elements of order |G|, or None."""
     return next((g for g, k in zip(G.elements, element_orders(G)) if k == len(G)), None)
+
+
+def is_abelian(G):
+    """Whether every ordered pair of generators commutes."""
+    return all(a * b == b * a for a in G.generators for b in G.generators)
 
 
 def least_generator(d, orders):

@@ -764,6 +764,82 @@ class TestCheckedBase:
         assert {len(H) for H in maxima} == {32}
 
 
+class TestAbelianShortcut:
+    """max_element_order reads an abelian G's exponent as the lcm of its
+    generator orders and runs the order pass otherwise; both against the
+    largest of the oracle's element orders.  is_abelian and membership
+    against all ordered pairs of generators and the element frozenset."""
+
+    def test_every_witness_up_to_1000(self):
+        reasons = {"square": 0, "arrow": 0}
+        for n in range(2, 1001):
+            cert = cn.build_witness(n)
+            if cert is None:
+                continue
+            G = cn.closure(cert.generators)
+            assert cn.is_abelian(G) == (cert.reason == "square"), n
+            assert cn.max_element_order(G) == max(oracle.element_orders(G)), n
+            reasons[cert.reason] += 1
+        assert reasons == {"square": 392, "arrow": 283}
+
+    @pytest.mark.parametrize(
+        "gens, exponent",
+        [
+            ([Permutation([1, 0, 3, 2]), Permutation([2, 3, 0, 1])], 2),
+            ([cycle([0, 1, 2, 3], 4), Permutation([2, 3, 0, 1])], 4),
+            ([Permutation([1, 2, 0, 4, 3]), cycle([3, 4], 5)], 6),
+            ([cycle([0, 1], 5), cycle([2, 3, 4], 5)], 6),
+            ([identity(4), Permutation([1, 0, 3, 2]), Permutation([1, 0, 3, 2]), identity(4), Permutation([2, 3, 0, 1])], 2),
+            ([identity(3), identity(3)], 1),
+            ([identity(1)], 1),
+            (elementary_abelian_2(6), 2),
+        ],
+        ids=[
+            "klein-four",
+            "a-generator-and-its-square",
+            "z3xz2-and-its-z2",
+            "no-generator-of-the-exponents-order",
+            "repeated-and-identity-generators",
+            "identity-twice",
+            "degree-one",
+            "the-ci-z2^6-file",
+        ],
+    )
+    def test_abelian_groups_whose_generators_share_points(self, gens, exponent):
+        G = cn.closure(gens)
+        assert cn.is_abelian(G) and oracle.is_abelian(G)
+        assert cn.max_element_order(G) == max(oracle.element_orders(G)) == exponent
+
+    def test_is_abelian_against_all_ordered_pairs(self, corpus):
+        abelian = 0
+        for name, G in corpus.items():
+            assert cn.is_abelian(G) == oracle.is_abelian(G), name
+            abelian += cn.is_abelian(G)
+        assert 0 < abelian < len(corpus)
+
+    def test_membership_by_key_against_the_element_set(self, corpus):
+        # Every corpus element of each degree, and a transposition and a
+        # long cycle per degree, tried in every group of that degree; plus
+        # one of the wrong degree.
+        candidates = {}
+        for G in corpus.values():
+            m = G.degree
+            candidates.setdefault(m, {cycle(sorted({0, m - 1}), m), cycle(range(m), m)}).update(G.elements)
+        key_hits_outside = 0
+        for name, G in corpus.items():
+            d = G._dimino
+            for g in candidates[G.degree]:
+                if g in G._elem_set:
+                    assert d.images_of(groups_module._require_member(G, g)) == g.images, name
+                    continue
+                key_hits_outside += d.key(g.images) in d.index
+                with pytest.raises(ValueError, match="element is not a member of the group"):
+                    groups_module._require_member(G, g)
+            with pytest.raises(ValueError, match="b is not a member of the group"):
+                groups_module._require_member(G, identity(G.degree + 1), "b")
+        assert key_hits_outside > 0
+
+
 class TestProofArithmetic:
     def test_power_rule_for_commuting_elements(self, z6, q8):
         g = cn.is_cyclic(z6)

@@ -68,15 +68,48 @@ def test_sieve_factorizes_only_unmarked_large_cofactors(monkeypatch):
     assert trial == []
 
 
-@pytest.mark.parametrize("n", [4, 6, 18, 100])
+@pytest.mark.parametrize("n", [4, 6, 18, 100, 2310])
 def test_verify_computes_each_element_order_once(monkeypatch, n):
+    # A square witness (4, 18, 100) is abelian, so its largest element
+    # order is the lcm of the generator orders closure computed: no order
+    # pass, and each generator's cycles are walked once, by closure.  An
+    # arrow witness (6, 2310) is not abelian and takes one order pass.
     cert = build_witness(n)
+    order_passes = {"square": 0, "arrow": 1}[cert.reason]
     passes = count_calls(monkeypatch, "_order_pass", groups)
     singles = count_calls(monkeypatch, "perm_order", perm, groups)
+    walks_in_closure = count_calls(monkeypatch, "_cycles", groups)
+    walks_elsewhere = count_calls(monkeypatch, "_cycles", perm)
     report = verify_certificate(cert)
     assert report.passed and report.group_size == n
-    assert len(passes) == 1
+    assert len(passes) == order_passes
     assert singles == []
+    assert len(walks_in_closure) == len(cert.generators)
+    assert walks_elsewhere == []
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 6])
+def test_is_abelian_composes_each_pair_of_generators_once(monkeypatch, r):
+    # Z2^r as r disjoint transpositions: every pair commutes, so none is
+    # skipped, and each unordered pair of distinct generators takes two
+    # products.
+    G = closure([perm.cycle([2 * i, 2 * i + 1], 2 * r) for i in range(r)])
+    calls = count_calls(monkeypatch, "compose", perm)
+    assert groups.is_abelian(G)
+    assert len(calls) == r * (r - 1)
+
+
+def test_element_order_on_the_9604_witness_reads_no_element_list():
+    # Membership is one key lookup and one whole-tuple confirm.
+    cert = build_witness(9604)
+    G = closure(cert.generators)
+    a, b = cert.generators
+    for g in (a, b, a * b):
+        assert groups.element_order(G, g) == perm.perm_order(g)
+    for outside in (perm.cycle([0, 2], G.degree), perm.identity(G.degree - 1)):
+        with pytest.raises(ValueError, match="element is not a member of the group"):
+            groups.element_order(G, outside)
+    assert "elements" not in vars(G)  # the cached property was never read
 
 
 @pytest.mark.parametrize("n", [12, 54, 100, 128])
