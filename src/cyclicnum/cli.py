@@ -17,25 +17,11 @@ import argparse
 import functools
 import json
 import sys
-from collections import Counter
 from collections.abc import Sequence
 
 from .cayley import DEFAULT_ORDER_CAP, HARD_ORDER_CAP, element_orders, enumerate_groups
 from .errors import CapacityError
-from .groups import (
-    DEFAULT_CLOSURE_CAP,
-    DEFAULT_SUBGROUP_BOUND,
-    FiniteGroup,
-    _conjugates,
-    _least_generator,
-    _normalizer,
-    _numbers,
-    _orbit,
-    _order_pass,
-    closure,
-    is_abelian,
-    maximal_subgroups,
-)
+from .groups import DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_BOUND, analyze, closure
 from .numtheory import cyclic_numbers, factorize, gcd
 from .perm import Permutation
 from .witness import DEGREE_CAP, WitnessCertificate, build_witness, verify_certificate
@@ -196,7 +182,8 @@ def cmd_witness(args) -> int:
     if cert is None:
         print(f"{args.n} is a cyclic number; no non-cyclic group of that order exists", file=sys.stderr)
         return 1
-    _write_output(_dump_json(certificate_to_dict(cert)), args.out)
+    fields = (f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in certificate_to_dict(cert).items())
+    _write_output("{\n" + ",\n".join(fields) + "\n}\n", args.out)  # README's layout, on json's C encoder
     return 0
 
 
@@ -232,49 +219,10 @@ def cmd_verify(args) -> int:
     return _report(args, payload, lines, 0 if report.passed else 1)
 
 
-def _analyze_group(G: FiniteGroup) -> dict:
-    d = G._dimino
-    orders = _order_pass(d)
-    # The least element of order |G| in image order, as is_cyclic returns.
-    gen = _least_generator(d, orders)
-    histogram = Counter(orders)
-    sizes, seen = [], set()
-    for i in range(len(G)):  # one orbit on element numbers per conjugacy class
-        if i not in seen:
-            cls = _orbit(i, G._conjugations)
-            seen |= cls
-            sizes.append(len(cls))
-    info = {
-        "degree": G.degree,
-        "order": len(G),
-        "cyclic": gen is not None,
-        "generator": list(d.images_of(gen)) if gen is not None else None,
-        "abelian": is_abelian(G),
-        "element_orders": {str(k): histogram[k] for k in sorted(histogram)},
-        # An element is central exactly when its class is itself alone.
-        "center_size": sizes.count(1),
-        "conjugacy_class_sizes": sorted(sizes),
-        "maximal_subgroups": None,
-    }
-    if len(G) <= DEFAULT_SUBGROUP_BOUND:
-        rows = []
-        for H in sorted(maximal_subgroups(G), key=lambda H: (-len(H), H.elements)):
-            F = _numbers(G, H)  # normalizers and conjugates run on element numbers
-            rows.append(
-                {
-                    "size": len(H),
-                    "normalizer_size": len(_normalizer(G, F)),
-                    "conjugate_count": len(_conjugates(G, F)),
-                }
-            )
-        info["maximal_subgroups"] = rows
-    return info
-
-
 def cmd_analyze(args) -> int:
     gens = load_generators(load_json_file(args.path))
     G = closure(gens, max_size=args.max_order)
-    info = _analyze_group(G)
+    info = analyze(G)
     lines = [
         f"degree: {info['degree']}",
         f"group order: {info['order']}",

@@ -71,17 +71,23 @@ subgroup are their orbits, reached without a sweep over G; permutations
 are built only for what a public function returns.  A normalizer of F
 tests one a per left coset a*F: a*h sends a base point p to a[h[p]], so
 the coset is lookups of a's images at F's keys, and f*a is in it when
-the number of f's images at a's key is.  Only the subgroup lattice,
-capped at order 64, builds an index multiplication table (|G|^2
-entries), inside the call: the key of a*b is a's images at b's key.  The
-lattice grows by cyclic extension, each subgroup an ``_orbit`` of the
-identity, so ``_orbit`` is the module's one breadth-first search; a join
-Lagrange's theorem forces to be G takes none, and maxima are found on
-the lattice's index sets.
+the number of f's images at a's key is.  ``g in G``, like every query
+on one element, is one key lookup and one whole-tuple confirm.  Only
+the subgroup lattice, capped at order 64, builds an index
+multiplication table (|G|^2 entries), inside the call: the key of a*b
+is a's images at b's key.  The lattice grows by cyclic extension, each
+subgroup an ``_orbit`` of the identity, so ``_orbit`` is the module's
+one breadth-first search; a join Lagrange's theorem forces to be G
+takes none, and maxima are found on the lattice's index sets.  For a
+maximal M, M <= N(M) <= G forces N(M) to be M or G, with [G : N(M)]
+conjugates, so ``analyze`` needs one normality test per maximum: the
+conjugation maps, injective, send M's numbers into M (Holt, Eick and
+O'Brien 2005).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from itertools import chain
@@ -163,6 +169,13 @@ class FiniteGroup(_ElementSet):
     def __len__(self) -> int:
         return self._dimino.size
 
+    def __contains__(self, g: object) -> bool:
+        try:  # one key lookup and one whole-tuple confirm; G.elements is not built
+            _require_member(self, g)
+        except ValueError:
+            return False
+        return True
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FiniteGroup)
@@ -229,7 +242,7 @@ def _require_member(G: FiniteGroup, g: Permutation, name: str = "element") -> in
     can share a key with one of them.
     """
     d = G._dimino
-    i = d.index.get(d.key(g.images)) if g.degree == G.degree else None
+    i = d.index.get(d.key(g.images)) if isinstance(g, Permutation) and g.degree == G.degree else None
     if i is None or d.images_of(i) != g.images:
         raise ValueError(f"{name} is not a member of the group")
     return i
@@ -782,16 +795,54 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return _subgroups(G, _lattice(G))
 
 
-def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Proper subgroups with more than one element, maximal by inclusion,
-    sorted by (order, element list); a group of prime order has none.
-
-    Inclusion is decided on the lattice's index sets, largest first: a
-    proper subgroup is maximal when no maximum found before it contains
-    it, since each larger proper subgroup lies in one.
-    """
+def _maxima(G: FiniteGroup) -> list[frozenset[int]]:
+    """Maximal subgroups as lattice index sets, largest first: a proper subgroup
+    is maximal unless an earlier maximum holds it, as each larger one lies in one."""
     maxima: list[frozenset[int]] = []
     for S in sorted(_lattice(G), key=len, reverse=True):
         if 1 < len(S) < len(G) and not any(S < M for M in maxima):
             maxima.append(S)
-    return _subgroups(G, maxima)
+    return maxima
+
+
+def maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """Proper subgroups with more than one element, maximal by inclusion,
+    sorted by (order, element list); a group of prime order has none."""
+    return _subgroups(G, _maxima(G))
+
+
+def analyze(G: FiniteGroup) -> dict:
+    """The report ``cyclicnum analyze`` prints, on closure's element numbers:
+    one order pass, one orbit per conjugacy class and, up to order
+    DEFAULT_SUBGROUP_BOUND, a row per maximal subgroup, largest first,
+    whose normalizer and conjugate count follow from whether it is normal
+    (see the module docstring)."""
+    d, steps = G._dimino, G._conjugations
+    orders = _order_pass(d)
+    gen = _least_generator(d, orders)  # the least element of order |G|, as is_cyclic returns
+    histogram = Counter(orders)
+    sizes, seen = [], set()
+    for i in range(len(G)):  # one orbit on element numbers per conjugacy class
+        if i not in seen:
+            cls = _orbit(i, steps)
+            seen |= cls
+            sizes.append(len(cls))
+    rows = None
+    if len(G) <= DEFAULT_SUBGROUP_BOUND:
+        number = [d.index[d.key(g.images)] for g in G.elements]  # index into G.elements -> closure number
+        rows = []
+        for S in sorted(_maxima(G), key=lambda S: (-len(S), sorted(S))):
+            M = {number[i] for i in S}
+            N = len(G) if all(step(i) in M for step in steps for i in M) else len(S)  # |N(M)|
+            rows.append({"size": len(S), "normalizer_size": N, "conjugate_count": len(G) // N})
+    return {
+        "degree": G.degree,
+        "order": len(G),
+        "cyclic": gen is not None,
+        "generator": list(d.images_of(gen)) if gen is not None else None,
+        "abelian": is_abelian(G),
+        "element_orders": {str(k): histogram[k] for k in sorted(histogram)},
+        "center_size": sizes.count(1),  # central elements are the classes of size 1
+        "conjugacy_class_sizes": sorted(sizes),
+        "maximal_subgroups": rows,
+    }

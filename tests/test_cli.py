@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +93,13 @@ class TestWitness:
         assert cert["params"] == {"p1": 2, "p2": 3, "a": 2}
         assert cert["degree"] == 3
 
+    def test_layout_is_readmes_example(self, capsys):
+        # One field per line, params and generators compact, byte for byte.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```json\n", 1)[1].split("```\n", 1)[0]
+        _, out, _ = run(capsys, "witness", "6")
+        assert out == block
+
     def test_bytes_deterministic(self, capsys):
         _, first, _ = run(capsys, "witness", "4")
         _, second, _ = run(capsys, "witness", "4")
@@ -123,6 +131,15 @@ class TestVerify:
         assert rc == 0
         assert "max element order: 3" in out
         assert "verdict: pass" in out
+
+    def test_indented_certificate_verifies(self, capsys, tmp_path):
+        # Certificates written with every image on its own line still load.
+        _, out, _ = run(capsys, "witness", "12")
+        path = tmp_path / "w12.json"
+        path.write_text(json.dumps(json.loads(out), indent=2) + "\n", encoding="utf-8")
+        assert len(path.read_text().splitlines()) > len(out.splitlines())
+        rc, out, _ = run(capsys, "verify", str(path))
+        assert rc == 0 and "verdict: pass" in out
 
     def test_numeric_target(self, capsys):
         rc, out, _ = run(capsys, "verify", "12")

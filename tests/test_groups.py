@@ -16,7 +16,7 @@ import cyclicnum as cn
 import cyclicnum.groups as groups_module
 import group_oracles as oracle
 from cyclicnum import CapacityError, Permutation, Subgroup, cycle, identity
-from cyclicnum.cli import _analyze_group
+from cyclicnum.groups import analyze
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,8 @@ class TestClosure:
         cn.all_element_orders(G)
         assert "_elem_set" not in vars(G)
         built = cn.closure(gens)
-        assert built.elements[-1] in built and "_elem_set" in vars(built)
+        # Membership in a group is a key lookup and builds no set.
+        assert built.elements[-1] in built and "_elem_set" not in vars(built)
         assert all(g in G for g in built.elements)
         assert identity(G.degree + 1) not in G
         assert G == built and hash(G) == hash(built)
@@ -93,6 +94,28 @@ class TestClosure:
         H = cn.generated_subgroup(G, gens[0])
         assert "_elem_set" not in vars(H)
         assert gens[0] in H and "_elem_set" in vars(H)
+
+
+class TestMembership:
+    """``g in G`` is a key lookup and a whole-tuple confirm; the frozenset
+    of G's elements is the reference."""
+
+    def test_against_the_element_set_on_the_corpus(self, corpus):
+        by_degree = {}
+        for G in corpus.values():
+            by_degree.setdefault(G.degree, set()).update(G.elements)
+        rng = random.Random(26)
+        for name, G in corpus.items():
+            members = frozenset(G.elements)
+            # Every element of every corpus group of the same degree, and
+            # random permutations, most of them outside G.
+            candidates = by_degree[G.degree] | {Permutation(rng.sample(range(G.degree), G.degree)) for _ in range(50)}
+            for g in candidates:
+                assert (g in G) == (g in members), (name, g)
+
+    def test_other_degrees_and_objects_are_not_members(self, s3):
+        for outside in (identity(2), identity(4), cycle([0, 1], 4), s3.elements[1].images, None, 0):
+            assert outside not in s3
 
 
 class TestElementOrder:
@@ -479,7 +502,7 @@ class TestAgainstSweepOracles:
         assert cn.is_cyclic(G) == oracle.is_cyclic(G), label
         classes = oracle.conjugacy_classes(G)
         assert [cn.conjugacy_class(G, min(cls)) for cls in classes] == classes, label
-        report = _analyze_group(G)
+        report = analyze(G)
         assert report["conjugacy_class_sizes"] == sorted(map(len, classes)), label
         assert report["center_size"] == len(Z), label
         for F in subgroups:
@@ -687,6 +710,43 @@ def assert_base(G, label):
     return base
 
 
+class TestMaximalRows:
+    """analyze reads each maximal subgroup's normalizer and conjugate count
+    off one normality test; the general public paths compute both."""
+
+    @staticmethod
+    def assert_rows_match_public_paths(G, label):
+        rows = [
+            {
+                "size": len(H),
+                "normalizer_size": len(cn.normalizer(G, H)),
+                "conjugate_count": cn.count_conjugate_subgroups(G, H),
+            }
+            for H in sorted(cn.maximal_subgroups(G), key=lambda H: (-len(H), H.elements))
+        ]
+        assert analyze(G)["maximal_subgroups"] == rows, label
+
+    def test_corpus(self, corpus):
+        for name, G in corpus.items():
+            self.assert_rows_match_public_paths(G, name)
+
+    def test_witnesses_above_the_corpus_up_to_64(self):
+        # The corpus holds the witnesses up to 60.
+        for n in range(61, 65):
+            cert = cn.build_witness(n)
+            if cert is not None:
+                self.assert_rows_match_public_paths(cn.closure(cert.generators), n)
+
+    def test_s4_has_normal_and_self_normalizing_maxima(self):
+        # A4 is normal; the three D4 and the four S3 are their own normalizers.
+        G = cn.closure([cycle([0, 1], 4), cycle(range(4), 4)])
+        rows = [tuple(row.values()) for row in analyze(G)["maximal_subgroups"]]
+        assert rows == [(12, 24, 1)] + [(8, 8, 3)] * 3 + [(6, 6, 4)] * 4
+
+    def test_groups_above_the_lattice_bound_have_no_rows(self):
+        assert analyze(cn.closure(cn.build_witness(128).generators))["maximal_subgroups"] is None
+
+
 class TestCheckedBase:
     """The order pass and the lattice key each element by its images on
     closure's base; the oracles use whole image tuples.  The order pass
@@ -708,7 +768,7 @@ class TestCheckedBase:
             }
             for H in sorted(maxima, key=lambda H: (-len(H), H.elements))
         ]
-        assert _analyze_group(G)["maximal_subgroups"] == rows, label
+        assert analyze(G)["maximal_subgroups"] == rows, label
 
     def test_corpus_lattices(self, corpus_subgroups):
         for name, (G, subgroups) in corpus_subgroups.items():

@@ -67,6 +67,32 @@ def test_imports_stay_within_the_allowed_layers(module):
     assert imported <= allowed, f"{module} imports {sorted(imported - allowed)}"
 
 
+def private_names_from_groups(source: str) -> set[str]:
+    """The names starting with an underscore that source imports from groups."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module == "cyclicnum.groups" or (node.level and node.module == "groups"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_cli_imports_no_private_name_from_groups():
+    # The CLI formats what the layers compute; group theory stays in groups.
+    assert private_names_from_groups((PACKAGE / "cli.py").read_text()) == set()
+
+
+def test_private_name_reader_sees_both_forms():
+    source = """
+from .groups import closure, _orbit
+from cyclicnum.groups import _normalizer
+from .perm import _gather
+"""
+    assert private_names_from_groups(source) == {"_orbit", "_normalizer"}
+
+
 def test_import_reader_sees_every_form():
     source = """
 import math

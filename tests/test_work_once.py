@@ -112,6 +112,16 @@ def test_element_order_on_the_9604_witness_reads_no_element_list():
     assert "elements" not in vars(G)  # the cached property was never read
 
 
+def test_membership_on_the_9604_witness_reads_no_element_list():
+    cert = build_witness(9604)
+    G = closure(cert.generators)
+    a, b = cert.generators
+    assert a in G and b in G and a * b in G
+    assert perm.cycle([0, 2], G.degree) not in G
+    assert perm.identity(G.degree - 1) not in G
+    assert "elements" not in vars(G) and "_elem_set" not in vars(G)
+
+
 @pytest.mark.parametrize("n", [12, 54, 100, 128])
 def test_order_pass_walks_only_elements_no_earlier_walk_reached(monkeypatch, n):
     G = closure(build_witness(n).generators)
@@ -231,7 +241,7 @@ def write_witness(tmp_path, n):
 @pytest.mark.parametrize("n", [6, 54, 128])
 def test_analyze_computes_each_element_order_once(monkeypatch, capsys, tmp_path, n):
     path = write_witness(tmp_path, n)
-    passes = count_calls(monkeypatch, "_order_pass", groups, cli)
+    passes = count_calls(monkeypatch, "_order_pass", groups)
     singles = count_calls(monkeypatch, "perm_order", perm, groups)
     assert cli.main(["analyze", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == n
@@ -240,15 +250,27 @@ def test_analyze_computes_each_element_order_once(monkeypatch, capsys, tmp_path,
 
 
 @pytest.mark.parametrize("n", [6, 54])
-def test_analyze_builds_each_conjugacy_class_once(monkeypatch, capsys, tmp_path, n):
-    # Each class is one orbit on element numbers, taken where cli imports
-    # _orbit; the lattice's and the conjugate counts' orbits run in groups.
-    path = write_witness(tmp_path, n)
-    calls = count_calls(monkeypatch, "_orbit", cli)
-    assert cli.main(["analyze", str(path), "--json"]) == 0
-    sizes = json.loads(capsys.readouterr().out)["conjugacy_class_sizes"]
+def test_analyze_builds_each_conjugacy_class_once(monkeypatch, n):
+    # Each class is one orbit on element numbers under the conjugation
+    # maps; the lattice's orbits take other steps.
+    G = closure(build_witness(n).generators)
+    calls = count_calls(monkeypatch, "_orbit", groups)
+    sizes = groups.analyze(G)["conjugacy_class_sizes"]
     assert sum(sizes) == n
-    assert len(calls) == len(sizes)
+    assert len([args for args in calls if args[1] is G._conjugations]) == len(sizes)
+
+
+@pytest.mark.parametrize("n", [12, 54, 62])
+def test_analyze_rows_take_no_normalizer_conjugate_orbit_or_subgroup(monkeypatch, n):
+    # A maximal subgroup's row is one normality test on element numbers.
+    G = closure(build_witness(n).generators)
+    maxima = groups.maximal_subgroups(G)
+    normalizers = count_calls(monkeypatch, "_normalizer", groups)
+    conjugates = count_calls(monkeypatch, "_conjugates", groups)
+    trusted = count_calls(monkeypatch, "_trusted", groups.Subgroup)
+    checked = count_calls(monkeypatch, "__init__", groups.Subgroup)
+    assert len(groups.analyze(G)["maximal_subgroups"]) == len(maxima) > 1
+    assert normalizers == conjugates == trusted == checked == []
 
 
 @pytest.mark.parametrize("n", [128, 2310])
