@@ -18,11 +18,10 @@ degree at least p2, so under DEGREE_CAP its p2 is below 10000 and the
 call takes at most about 100 modular steps.  Only direct library calls,
 or a ``max_degree`` raised far past DEGREE_CAP, reach the slow case.
 
-``cyclic_numbers`` is a segmented totient sieve over odd n only, with
-fixed-size windows.  Two kinds of n are settled without a gcd, because a
-known prime divides both n and phi(n): an even n >= 4 (2 divides phi(n)
-for n >= 3) and an n with p**2 | n for a sieving prime p (p divides
-phi(n)).  Every other n is decided by gcd(n, phi(n)) = 1.
+``cyclic_numbers`` sieves odd n in fixed windows with no running totient.
+Three kinds of n share a known prime with phi(n): an even n >= 4 and, by a
+mark, an n with p**2 | n or p*r | n for a sieving prime p and an odd prime
+r | p - 1.  Any other n is cyclic iff gcd(n, phi(m)) = 1, m its cofactor.
 
 The totient and the two conditions are read off a Factorization
 (``phi`` and ``conditions()``), so a caller that needs several of them
@@ -54,6 +53,19 @@ def _primes_up_to(bound: int) -> tuple[int, ...]:
 # cyclic_numbers.  An integer above 1 and at most _SMALL_PRIME_BOUND**2
 # with no prime factor up to _SMALL_PRIME_BOUND is itself prime.
 _SMALL_PRIMES = _primes_up_to(_SMALL_PRIME_BOUND)
+
+
+def _sieve_marks() -> dict[int, tuple[int, ...]]:
+    """Each odd prime p up to 1000 with its mark moduli: p**2, then p*r for each odd prime r | p - 1."""
+    marks = {p: [p * p] for p in _SMALL_PRIMES[1:]}
+    for r in _SMALL_PRIMES[1:]:
+        for p in range(2 * r + 1, _SMALL_PRIME_BOUND + 1, 2 * r):  # odd p with r | p - 1
+            if p in marks:
+                marks[p].append(p * r)
+    return {p: tuple(moduli) for p, moduli in marks.items()}
+
+
+_SIEVE_MARKS = _sieve_marks()  # the sieving primes of cyclic_numbers, ascending
 
 
 def _check_positive(n: int, name: str = "n") -> None:
@@ -193,8 +205,8 @@ def _rho(n: int) -> int:
 def _large_cofactor_factors(m: int) -> tuple[tuple[int, int], ...]:
     """(prime, multiplicity) pairs, primes ascending, of m with no prime factor up to 1000.
 
-    Each part is split by rho until it is at most 10**6 (and so prime) or
-    passes the Miller-Rabin test.
+    Each part is split, a perfect square r*r into r and r and any other by rho,
+    until it is at most 10**6 (and so prime) or passes the Miller-Rabin test.
     """
     primes = []
     parts = [m]
@@ -202,6 +214,8 @@ def _large_cofactor_factors(m: int) -> tuple[tuple[int, int], ...]:
         x = parts.pop()
         if x <= _SMALL_PRIME_BOUND**2 or _is_strong_probable_prime(x):
             primes.append(x)
+        elif (r := math.isqrt(x)) ** 2 == x:
+            parts += (r, r)
         else:
             d = _rho(x)
             parts += (d, x // d)
@@ -315,56 +329,52 @@ def element_of_order(p1: int, p2: int) -> int:
 
 
 def cyclic_numbers(lo: int, hi: int) -> list[int]:
-    """Ascending list of cyclic numbers in [lo, hi], by a segmented totient sieve.
+    """Ascending list of cyclic numbers in [lo, hi], by a segmented sieve.
 
     1 and 2 are cyclic.  An even n >= 4 is not: phi(n) is even for n >= 3,
-    so 2 divides gcd(n, phi(n)).  Only odd n are sieved, in windows of
-    2**12 odd integers (2**13 consecutive integers, the last window
-    possibly fewer), so working memory does not grow with the range.  In
-    each window every odd prime p up to min(sqrt(hi), 1000) marks the n
-    that p**2 divides, which are not cyclic either (p divides phi(n)), and
-    is divided out of its multiples, whose running totients gain a factor
-    p - 1.  An unmarked n is then p1 * ... * pk * m with distinct sieving
-    primes pi, phi(n) = (p1 - 1) ... (pk - 1) * phi(m), and the cofactor m
-    is 1 or prime when it is at most 10**6 (always so when hi <= 10**6).
-    A larger m has no prime factor up to 1000, so it goes straight to
-    rho without trial division.  An unmarked n is cyclic when
-    gcd(n, phi(n)) = 1.
+    so 2 divides gcd(n, phi(n)).  Only odd n are sieved, in windows of 2**12
+    odd integers (2**13 consecutive integers, the last window possibly
+    fewer), so working memory does not grow with the range.  In each window
+    every odd prime p up to min(sqrt(hi), 1000) is divided out of its
+    multiples and marks the n that p**2 divides (p | phi(n)) or that p*r
+    divides for an odd prime r | p - 1 (r | phi(n)); those are not cyclic.
+    An unmarked n is p1 * ... * pk * m with distinct sieving primes pi, and
+    no prime t divides both n and some pi - 1 (t would be an odd sieving
+    prime with pi*t | n, which is marked), so gcd(n, phi(n)) = gcd(n, phi(m))
+    and no totient is kept.  The cofactor m is 1 or prime when it is at most
+    10**6 (always so when hi <= 10**6), and then n is cyclic when m = 1 or
+    gcd(n, m - 1) = 1.  A larger m has no prime factor up to 1000, so it is
+    factorized by rho without trial division.
     """
     _check_positive(lo, "lo")
     _check_positive(hi, "hi")
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
     limit = math.isqrt(hi)
-    primes = [p for p in _SMALL_PRIMES[1:] if p <= limit]
     hits = list(range(lo, min(hi, 2) + 1))  # 1 and 2
+    big = _SMALL_PRIME_BOUND**2
     window = 1 << 12
     for start in range(max(lo, 3) | 1, hi + 1, 2 * window):
         # Index i of the window stands for the odd n = start + 2*i.
         size = min(window, (hi - start) // 2 + 1)
         odd = range(start, start + 2 * size, 2)
         rest = list(odd)
-        phi = [1] * size
         unmarked = bytearray(b"\x01") * size
-        for p in primes:
+        for p, moduli in _SIEVE_MARKS.items():
+            if p > limit:
+                break
             # The odd multiples of an odd q start at i = -start / 2 mod q,
             # and (q + 1) / 2 is the inverse of 2 modulo q.
             i = -start * ((p + 1) // 2) % p
             rest[i::p] = [m // p for m in rest[i::p]]
-            phi[i::p] = [f * (p - 1) for f in phi[i::p]]
-            q = p * p
-            if (i := -start * ((q + 1) // 2) % q) < size:
-                unmarked[i::q] = bytes(len(range(i, size, q)))
-        if odd[-1] > _SMALL_PRIME_BOUND**2:
-            for i in itertools.compress(range(size), unmarked):
-                if (m := rest[i]) > _SMALL_PRIME_BOUND**2:
-                    phi[i] *= Factorization(m, _large_cofactor_factors(m)).phi
-                    rest[i] = 1
-        # Every unmarked rest is now 1 or a prime m, which contributes m - 1 to phi.
-        survivors = zip(
-            itertools.compress(odd, unmarked),
-            itertools.compress(rest, unmarked),
-            itertools.compress(phi, unmarked),
-        )
-        hits += [n for n, m, f in survivors if math.gcd(n, f * (m - 1 or 1)) == 1]
+            for q in moduli:
+                if (i := -start * ((q + 1) // 2) % q) < size:
+                    unmarked[i::q] = bytes(len(range(i, size, q)))
+        # An unmarked rest m is 1, a prime up to 10**6, or a larger
+        # cofactor with no prime factor up to 1000.
+        survivors = zip(itertools.compress(odd, unmarked), itertools.compress(rest, unmarked))
+        hits += [
+            n for n, m in survivors
+            if m == 1 or math.gcd(n, m - 1 if m <= big else Factorization(m, _large_cofactor_factors(m)).phi) == 1
+        ]
     return hits

@@ -17,7 +17,7 @@ from cyclicnum import (
     is_prime,
     multiplicative_order,
 )
-from cyclicnum.numtheory import MAX_INPUT
+from cyclicnum.numtheory import _SIEVE_MARKS, MAX_INPUT
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -114,6 +114,11 @@ class TestAgainstTrialDivision:
     def test_is_prime_matches_oracle_below_20000(self):
         assert [n for n in range(20000) if is_prime(n)] == [n for n in range(20000) if oracle.is_prime(n)]
 
+    @pytest.mark.parametrize("n", [999983**2, 1000003**2, 1009**4, 999983**2 * 1000003, 1009**2 * 1013])
+    def test_squares_match_oracle(self, n):
+        # A square cofactor is split by its integer square root, not by rho.
+        assert factorize(n).factors == oracle.factorize(n)
+
 
 class TestTopOfRange:
     """Far past the oracle's reach: checked by multiplication and is_prime."""
@@ -123,9 +128,9 @@ class TestTopOfRange:
         assert is_prime(p)
         assert factorize(p).factors == ((p, 1),)
 
-    @pytest.mark.parametrize("p", ROOT_PRIMES + (2**31 - 1, 2**21 - 9))
+    @pytest.mark.parametrize("p", ROOT_PRIMES + (2**31 - 1, 2147483629, 2**21 - 9, 55103))
     def test_prime_powers(self, p):
-        for a in range(2, 4):
+        for a in range(2, 5):
             if p**a <= MAX_INPUT:
                 assert not is_prime(p**a)
                 assert factorize(p**a).factors == ((p, a),)
@@ -139,6 +144,10 @@ class TestTopOfRange:
         n = p * q
         assert n <= MAX_INPUT and not is_prime(n)
         assert assert_factorization(n) == tuple((r, 1) for r in sorted((p, q)))
+
+    def test_square_times_prime(self):
+        assert assert_factorization(2 * (2**31 - 1) ** 2) == ((2, 1), (2**31 - 1, 2))
+        assert assert_factorization(1000003**2 * 9223309) == ((1000003, 2), (9223309, 1))
 
     @pytest.mark.parametrize("n", range(MAX_INPUT - 200, MAX_INPUT + 1, 7))
     def test_near_the_limit(self, n):
@@ -341,6 +350,15 @@ class TestCyclicNumbers:
         expected = [n for n in range(lo, MAX_INPUT + 1)
                     if math.gcd(n, oracle.totient(assert_factorization(n))) == 1]
         assert cyclic_numbers(lo, MAX_INPUT) == expected
+
+    def test_sieve_mark_table(self):
+        # p**2 and p*r for each odd prime r | p - 1, for every odd prime p up to 1000.
+        expected = {
+            p: (p * p, *(p * r for r, _ in oracle.factorize(p - 1) if r > 2))
+            for p in range(3, 1001)
+            if oracle.is_prime(p)
+        }
+        assert list(_SIEVE_MARKS.items()) == list(expected.items())
 
     def test_cyclic_numbers_rejects_bad_range(self):
         with pytest.raises(ValueError):

@@ -52,20 +52,31 @@ def test_sieve_to_a_million_factorizes_no_cofactor(monkeypatch):
 def test_sieve_factorizes_only_unmarked_large_cofactors(monkeypatch):
     # Above 10**6 the sieve factorizes the cofactor left after dividing out
     # the primes up to 1000, with no second trial division, but only for
-    # an odd n that no square of such a prime divides: even n and those n
-    # are settled without a totient.
+    # an odd n whose part up to 1000 is squarefree and holds no primes
+    # r, p with r | p - 1: even n and the others are settled by a mark.
     lo, hi = 10**12, 10**12 + 300
     expected = 0
     for n in range(lo | 1, hi + 1, 2):
         factors = numtheory_oracles.factorize(n)
         small = [(p, a) for p, a in factors if p <= 1000]
-        if all(a == 1 for _, a in small) and n // math.prod(p for p, _ in small) > 10**6:
+        primes = [p for p, _ in small]
+        marked = any(a > 1 for _, a in small) or any((p - 1) % r == 0 for r in primes for p in primes if r < p)
+        if not marked and n // math.prod(primes) > 10**6:
             expected += 1
     calls = count_calls(monkeypatch, "_large_cofactor_factors", numtheory)
     trial = count_calls(monkeypatch, "factorize", numtheory)
     numtheory.cyclic_numbers(lo, hi)
     assert len(calls) == expected > 0
     assert trial == []
+
+
+@pytest.mark.parametrize("p", [1009, 999983, 2**31 - 1, 2147483629])
+def test_factorize_splits_squares_without_rho(monkeypatch, p):
+    calls = count_calls(monkeypatch, "_rho", numtheory)
+    assert numtheory.factorize(p * p).factors == ((p, 2),)
+    if p**4 <= numtheory.MAX_INPUT:
+        assert numtheory.factorize(p**4).factors == ((p, 4),)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [4, 6, 18, 100, 2310])
