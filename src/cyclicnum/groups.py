@@ -1,9 +1,9 @@
 """Finite permutation groups from generators.
 
 A FiniteGroup is the closure of a generating set of equal-degree
-permutations.  Elements are kept in a canonical order (sorted by image
-table) so group equality, subgroup identity, and conjugate-subgroup
-deduplication are plain set comparisons.
+permutations, and a Subgroup is a set of closure's numbers for its
+parent's elements.  Two groups are equal when they have the same degree
+and order and one holds the other's generators.
 
 Closure is Dimino's algorithm (Butler, *Fundamental Algorithms for
 Permutation Groups*, LNCS 559, 1991; Holt, Eick and O'Brien, *Handbook of
@@ -67,22 +67,22 @@ Conjugation runs on closure's element numbers: for a generator b,
 b^-1*x*b sends a base point p to b^-1(x(b(p))), so |base| reads of x
 and one lookup give its number, with no product.  The center is the
 numbers all these maps fix.  Conjugacy classes and the conjugates of a
-subgroup are their orbits, reached without a sweep over G; permutations
-are built only for what a public function returns.  A normalizer of F
-tests one a per left coset a*F: a*h sends a base point p to a[h[p]], so
-the coset is lookups of a's images at F's keys, and f*a is in it when
-the number of f's images at a's key is.  ``g in G``, like every query
-on one element, is one key lookup and one whole-tuple confirm.  Only
-the subgroup lattice, capped at order 64, builds an index
-multiplication table (|G|^2 entries), inside the call: the key of a*b
-is a's images at b's key.  The lattice grows by cyclic extension, each
-subgroup an ``_orbit`` of the identity, so ``_orbit`` is the module's
-one breadth-first search; a join Lagrange's theorem forces to be G
-takes none, and maxima are found on the lattice's index sets.  For a
-maximal M, M <= N(M) <= G forces N(M) to be M or G, with [G : N(M)]
-conjugates, so ``analyze`` needs one normality test per maximum: the
-conjugation maps, injective, send M's numbers into M (Holt, Eick and
-O'Brien 2005).
+subgroup are their orbits, reached without a sweep over G; a subgroup's
+permutations are built when its elements are first read.  A normalizer
+of F tests one a per left coset a*F: a*h sends a base point p to
+a[h[p]], so the coset is lookups of a's images at F's keys, and f*a is
+in it when the number of f's images at a's key is.  ``g in G`` and
+``g in H``, like every query on one element, are one key lookup and one
+whole-tuple confirm.  Only the subgroup lattice, capped at order 64,
+builds a multiplication table on element numbers (|G|^2 entries), inside
+the call: the key of a*b is a's images at b's key.  The lattice grows by
+cyclic extension, each subgroup an ``_orbit`` of the identity, so
+``_orbit`` is the module's one breadth-first search; a join Lagrange's
+theorem forces to be G takes none, and maxima are found on the
+lattice's sets of numbers, sorted by their elements.  For a maximal
+M, M <= N(M) <= G forces N(M) to be M or G, with [G : N(M)] conjugates,
+so ``analyze`` needs one normality test per maximum: the conjugation
+maps, injective, send M's numbers into M (Holt, Eick and O'Brien 2005).
 """
 
 from __future__ import annotations
@@ -101,31 +101,7 @@ DEFAULT_CLOSURE_CAP = 20000
 DEFAULT_SUBGROUP_BOUND = 64
 
 
-class _ElementSet:
-    """A sorted tuple of permutations, shared by groups and subgroups.
-
-    The frozenset of the elements is built on first use: verify never
-    tests membership, and each Permutation hash reads its whole image
-    tuple.
-    """
-
-    elements: tuple[Permutation, ...]
-
-    @cached_property
-    def _elem_set(self) -> frozenset[Permutation]:
-        return frozenset(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, g: object) -> bool:
-        return g in self._elem_set
-
-
-class FiniteGroup(_ElementSet):
+class FiniteGroup:
     """A closed set of equal-degree permutations plus its generating set.
 
     Only closure() builds groups; FiniteGroup(...) itself raises
@@ -169,6 +145,9 @@ class FiniteGroup(_ElementSet):
     def __len__(self) -> int:
         return self._dimino.size
 
+    def __iter__(self):
+        return iter(self.elements)
+
     def __contains__(self, g: object) -> bool:
         try:  # one key lookup and one whole-tuple confirm; G.elements is not built
             _require_member(self, g)
@@ -177,61 +156,80 @@ class FiniteGroup(_ElementSet):
         return True
 
     def __eq__(self, other: object) -> bool:
+        # other's generators in self make other's group a subgroup of self,
+        # and equal orders make it all of self.
         return (
             isinstance(other, FiniteGroup)
             and self.degree == other.degree
-            and self._elem_set == other._elem_set
+            and len(self) == len(other)
+            and all(g in self for g in other.generators)
         )
 
     def __hash__(self) -> int:
-        return hash((self.degree, self._elem_set))
+        return hash((self.degree, len(self)))
 
     def __repr__(self) -> str:
         return f"<FiniteGroup of order {len(self)} on {self.degree} points>"
 
 
-class Subgroup(_ElementSet):
-    """A subset of a parent group's elements that is itself a group.
+class Subgroup:
+    """A subset of a parent group's elements that is itself a group, held
+    as the frozenset ``numbers`` of its elements' numbers in the parent's
+    closure numbering.  ``elements``, sorted, is built when first read.
 
     The public constructor verifies closure; engine functions that produce
     sets already known to be groups use the trusted path internally.
     """
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[Permutation]):
-        elems = tuple(sorted(set(elements)))
+        elems = set(elements)
         if not elems:
             raise ValueError("a subgroup cannot be empty")
-        eset = frozenset(elems)
-        if not eset <= parent._elem_set:
-            raise ValueError("subgroup elements must belong to the parent group")
-        for a in elems:
-            for b in elems:
-                if a * b not in eset:
-                    raise ValueError("element set is not closed under composition")
+        try:
+            numbers = frozenset(_require_member(parent, g) for g in elems)
+        except ValueError:
+            raise ValueError("subgroup elements must belong to the parent group") from None
+        d = parent._dimino  # a product of members is a member, so its key names it
+        if any(d.index[d.key((a * b).images)] not in numbers for a in elems for b in elems):
+            raise ValueError("element set is not closed under composition")
         # Closed nonempty subset of a finite group: identity and inverses follow.
-        self.parent = parent
-        self.elements = elems
-        self._elem_set = eset
+        self.parent, self.numbers = parent, numbers
 
     @classmethod
-    def _trusted(cls, parent: FiniteGroup, elements: Iterable[Permutation]) -> "Subgroup":
+    def _trusted(cls, parent: FiniteGroup, numbers: Iterable[int]) -> "Subgroup":
         sub = object.__new__(cls)
-        sub.parent = parent
-        sub.elements = tuple(sorted(elements))
+        sub.parent, sub.numbers = parent, frozenset(numbers)
         return sub
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(map(Permutation._trusted, sorted(map(self.parent._dimino.images_of, self.numbers))))
+
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __contains__(self, g: object) -> bool:
+        try:
+            return _require_member(self.parent, g) in self.numbers
+        except ValueError:
+            return False
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subgroup)
             and self.parent == other.parent
-            and self._elem_set == other._elem_set
+            and self.numbers == _require_subgroup_of(self.parent, other)
         )
 
     def __hash__(self) -> int:
-        return hash((self.parent.degree, self._elem_set))
+        # The elements: equal parents may number them differently, and orders alone collide.
+        return hash(frozenset(self.elements))
 
     def __repr__(self) -> str:
-        return f"<Subgroup of order {len(self.elements)} in group of order {len(self.parent)}>"
+        return f"<Subgroup of order {len(self)} in group of order {len(self.parent)}>"
 
 
 def _require_member(G: FiniteGroup, g: Permutation, name: str = "element") -> int:
@@ -248,9 +246,14 @@ def _require_member(G: FiniteGroup, g: Permutation, name: str = "element") -> in
     return i
 
 
-def _require_subgroup_of(G: FiniteGroup, F: Subgroup) -> None:
-    if F.parent is not G and F.parent != G:
+def _require_subgroup_of(G: FiniteGroup, F: Subgroup) -> frozenset[int]:
+    """F's numbers in G's numbering, or ValueError if F's parent is not G.  An equal
+    parent from reordered generators numbers differently: then F's elements are looked up."""
+    if F.parent is G:
+        return F.numbers
+    if F.parent != G:
         raise ValueError("subgroup belongs to a different group")
+    return frozenset(_require_member(G, f) for f in F)
 
 
 def closure(generators: Iterable[Permutation], *, max_size: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -479,9 +482,11 @@ def element_order(G: FiniteGroup, g: Permutation) -> int:
 
 
 def generated_subgroup(G: FiniteGroup, f: Permutation) -> Subgroup:
-    """The cyclic subgroup of all powers of f, from closure's walk."""
-    _require_member(G, f)
-    return Subgroup._trusted(G, closure([f], max_size=len(G)).elements)
+    """The cyclic subgroup of all powers of f, from their keys on G's base;
+    the identity, element 0, is named outright, as a trivial G has no base."""
+    d = G._dimino
+    powers = _power_keys(d.reader(_require_member(G, f)), d.base)
+    return Subgroup._trusted(G, [0, *map(d.index.__getitem__, powers)])
 
 
 def _key(points: Sequence[int]):
@@ -613,15 +618,13 @@ def center(G: FiniteGroup) -> Subgroup:
     b^-1*x*b = x: the element numbers every conjugation map fixes.
     """
     d, steps = G._dimino, G._conjugations
-    members = [i for i in range(d.size) if all(step(i) == i for step in steps)]
-    return Subgroup._trusted(G, (Permutation._trusted(d.images_of(i)) for i in members))
+    return Subgroup._trusted(G, [i for i in range(d.size) if all(step(i) == i for step in steps)])
 
 
 def subset_product(X: Subgroup | Iterable[Permutation], Y: Subgroup | Iterable[Permutation]) -> frozenset[Permutation]:
     """All products x*y with x in X and y in Y."""
-    xs = tuple(X.elements if isinstance(X, Subgroup) else X)
-    ys = tuple(Y.elements if isinstance(Y, Subgroup) else Y)
-    return frozenset(x * y for x in xs for y in ys)
+    ys = tuple(Y)
+    return frozenset(x * y for x in X for y in ys)
 
 
 def conjugate_element(G: FiniteGroup, f: Permutation, b: Permutation) -> Permutation:
@@ -661,12 +664,8 @@ def conjugacy_class(G: FiniteGroup, g: Permutation) -> frozenset[Permutation]:
 def conjugate_subgroup(G: FiniteGroup, F: Subgroup, b: Permutation) -> Subgroup:
     _require_subgroup_of(G, F)
     _require_member(G, b, "b")
-    ib = b.inverse()
-    return Subgroup._trusted(G, (ib * f * b for f in F.elements))
-
-
-def _numbers(G: FiniteGroup, F: Subgroup) -> frozenset[int]:
-    return frozenset(G._dimino.index[G._dimino.key(f.images)] for f in F.elements)
+    d, ib = G._dimino, b.inverse()
+    return Subgroup._trusted(G, (d.index[d.key((ib * f * b).images)] for f in F))
 
 
 def _normalizer(G: FiniteGroup, F: frozenset[int]) -> list[int]:
@@ -695,9 +694,7 @@ def _normalizer(G: FiniteGroup, F: frozenset[int]) -> list[int]:
 def normalizer(G: FiniteGroup, F: Subgroup) -> Subgroup:
     """Elements a with F*a = a*F; always a subgroup containing F.  Runs on
     element numbers and builds permutations only for the result."""
-    _require_subgroup_of(G, F)
-    keep = _normalizer(G, _numbers(G, F))
-    return Subgroup._trusted(G, (Permutation._trusted(G._dimino.images_of(i)) for i in keep))
+    return Subgroup._trusted(G, _normalizer(G, _require_subgroup_of(G, F)))
 
 
 def _conjugates(G: FiniteGroup, F: frozenset[int]) -> set[frozenset[int]]:
@@ -708,24 +705,21 @@ def _conjugates(G: FiniteGroup, F: frozenset[int]) -> set[frozenset[int]]:
 
 def count_conjugate_subgroups(G: FiniteGroup, F: Subgroup) -> int:
     """Number of distinct b^-1*F*b over b in G (including F), by enumeration."""
-    _require_subgroup_of(G, F)
-    return len(_conjugates(G, _numbers(G, F)))
+    return len(_conjugates(G, _require_subgroup_of(G, F)))
 
 
 def noncentral_union_size(G: FiniteGroup, F: Subgroup) -> int:
     """Count of non-central elements of G in the union of all conjugates of F."""
-    _require_subgroup_of(G, F)
-    union = set().union(*_conjugates(G, _numbers(G, F)))
+    union = set().union(*_conjugates(G, _require_subgroup_of(G, F)))
     return sum(1 for i in union if any(c(i) != i for c in G._conjugations))
 
 
 def minimal_power_in_subgroup(G: FiniteGroup, h: Permutation, F: Subgroup) -> int:
     """Least q >= 1 with h**q in F; exists because h**ord(h) is the identity."""
     _require_member(G, h, "h")
-    _require_subgroup_of(G, F)
-    q = 1
-    x = h
-    while x not in F._elem_set:
+    d, numbers = G._dimino, _require_subgroup_of(G, F)
+    q, x = 1, h
+    while d.index[d.key(x.images)] not in numbers:
         x = x * h
         q += 1
     return q
@@ -733,23 +727,21 @@ def minimal_power_in_subgroup(G: FiniteGroup, h: Permutation, F: Subgroup) -> in
 
 def conjugate_only_to_powers(G: FiniteGroup, f: Permutation) -> bool:
     """True iff every conjugate of f is a power of f."""
-    return conjugacy_class(G, f) <= generated_subgroup(G, f)._elem_set
+    return _orbit(_require_member(G, f), G._conjugations) <= generated_subgroup(G, f).numbers
 
 
 def _lattice(G: FiniteGroup) -> list[frozenset[int]]:
-    """Every subgroup of G as a set of indices into G.elements (see ``all_subgroups``)."""
+    """Every subgroup of G as a set of closure's element numbers (see ``all_subgroups``)."""
     if len(G) > DEFAULT_SUBGROUP_BOUND:
         raise CapacityError(
             f"subgroup enumeration is limited to groups of order {DEFAULT_SUBGROUP_BOUND}"
             f" (this group has order {len(G)})"
         )
-    images = [g.images for g in G.elements]
-    base = G._dimino.base
-    index = {k: i for i, k in enumerate(map(_key(base), images))}
-    # right[b][a] is the index of a*b; the identity is index 0.  a*b sends
-    # each base point to a's image of b's image of it, so its key is a's
-    # images at b's key.
-    right = [[index[k] for k in map(_key([b[p] for p in base]), images)] for b in images]
+    d = G._dimino
+    images = [G.elements[r].images for r in _rank(G)]  # element i's images at images[i]
+    # right[b][a] is the number of a*b, which sends a base point to a's
+    # image of b's image of it: its key is a's images at b's key.
+    right = [[d.index[k] for k in map(_key([b[p] for p in d.base]), images)] for b in images]
 
     def generated(gens: tuple[int, ...]) -> frozenset[int]:
         return frozenset(_orbit(0, [right[b].__getitem__ for b in gens]))
@@ -772,9 +764,19 @@ def _lattice(G: FiniteGroup) -> list[frozenset[int]]:
     return list(known)
 
 
+def _rank(G: FiniteGroup) -> list[int]:
+    """Each element number's position in G.elements.  Sets of numbers sorted
+    by rank sort as their elements do, whatever the generators' order."""
+    d, rank = G._dimino, [0] * len(G)
+    for r, g in enumerate(G.elements):
+        rank[d.index[d.key(g.images)]] = r
+    return rank
+
+
 def _subgroups(G: FiniteGroup, sets: Iterable[frozenset[int]]) -> list[Subgroup]:
-    """Index sets into G.elements as subgroups, sorted by (order, element list)."""
-    return [Subgroup._trusted(G, map(G.elements.__getitem__, S)) for S in sorted(sets, key=lambda S: (len(S), sorted(S)))]
+    """Sets of element numbers as subgroups, sorted by (order, element list)."""
+    rank = _rank(G)
+    return [Subgroup._trusted(G, S) for S in sorted(sets, key=lambda S: (len(S), sorted(map(rank.__getitem__, S))))]
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -829,12 +831,10 @@ def analyze(G: FiniteGroup) -> dict:
             sizes.append(len(cls))
     rows = None
     if len(G) <= DEFAULT_SUBGROUP_BOUND:
-        number = [d.index[d.key(g.images)] for g in G.elements]  # index into G.elements -> closure number
-        rows = []
-        for S in sorted(_maxima(G), key=lambda S: (-len(S), sorted(S))):
-            M = {number[i] for i in S}
-            N = len(G) if all(step(i) in M for step in steps for i in M) else len(S)  # |N(M)|
-            rows.append({"size": len(S), "normalizer_size": N, "conjugate_count": len(G) // N})
+        rank, rows = _rank(G), []
+        for M in sorted(_maxima(G), key=lambda S: (-len(S), sorted(map(rank.__getitem__, S)))):
+            N = len(G) if all(step(i) in M for step in steps for i in M) else len(M)  # |N(M)|
+            rows.append({"size": len(M), "normalizer_size": N, "conjugate_count": len(G) // N})
     return {
         "degree": G.degree,
         "order": len(G),

@@ -187,7 +187,7 @@ def subgroups(G):
             if not (a <= b or b <= a) and (joined := close(a | b)) not in known:
                 known.add(joined)
                 work.append(joined)
-    subs = [Subgroup._trusted(G, (G.elements[i] for i in idxs)) for idxs in known]
+    subs = [Subgroup(G, (G.elements[i] for i in idxs)) for idxs in known]
     return sorted(subs, key=lambda H: (len(H), H.elements))
 
 
@@ -195,7 +195,8 @@ def maximal_subgroups(G, subs):
     """The subgroups among subs, every subgroup of G, with more than one
     element that no other proper subgroup contains, in the order of subs."""
     proper = [H for H in subs if 1 < len(H) < len(G)]
-    return [H for H in proper if not any(H._elem_set < K._elem_set for K in proper)]
+    sets = [frozenset(H.elements) for H in proper]
+    return [H for H, S in zip(proper, sets) if not any(S < T for T in sets)]
 
 
 def conjugations(G):
@@ -262,7 +263,8 @@ def normalizer(G, F, generators=None):
     of a with a^-1*x*a in F for each generator x instead: the same set,
     since a^-1*F*a has |F| elements and is generated by those conjugates."""
     if generators is not None:
-        return {a for a in G.elements if all(a.inverse() * x * a in F._elem_set for x in generators)}
+        members = frozenset(F.elements)
+        return {a for a in G.elements if all(a.inverse() * x * a in members for x in generators)}
     return {
         a
         for a in G.elements

@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, exit codes, file round-trips."""
 
+import itertools
 import json
 import shutil
 import subprocess
@@ -255,6 +256,22 @@ class TestAnalyze:
         path.write_text(json.dumps({"degree": 6, "generators": [[1, 2, 3, 4, 5, 0]]}))
         rc, out, _ = run(capsys, "analyze", str(path))
         assert rc == 0 and "cyclic: yes (generator" in out
+
+    def test_generator_order_changes_no_byte(self, capsys, tmp_path):
+        # Z3 x S3 from (0 1 2), (3 4) and (3 4 5): one size-6 maximal
+        # subgroup is normal and three are not, so rows sorted by closure's
+        # numbering would follow the generators.
+        gens = [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 3, 5], [0, 1, 2, 4, 5, 3]]
+        outputs = set()
+        for i, order in enumerate(itertools.permutations(gens)):
+            path = tmp_path / f"z3xs3-{i}.json"
+            path.write_text(json.dumps({"degree": 6, "generators": list(order)}))
+            outputs.add((run(capsys, "analyze", str(path)), run(capsys, "analyze", str(path), "--json")))
+        assert len(outputs) == 1
+        (rc, out, _), _ = outputs.pop()
+        assert rc == 0
+        assert "maximal 2: size 6, normalizer size 18, conjugates 1" in out.splitlines()
+        assert out.count("size 6, normalizer size 6, conjugates 3") == 3
 
     def test_certificate_reingestion_matches_plain_group(self, capsys, tmp_path):
         cert_path = tmp_path / "w6.json"

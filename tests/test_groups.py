@@ -79,21 +79,22 @@ class TestClosure:
         again = cn.closure([cycle([0, 2], 3), cycle([0, 1], 3)])
         assert again == s3
 
-    def test_element_set_is_built_on_first_use(self):
+    def test_element_list_is_built_on_first_read(self):
         gens = cn.build_witness(54).generators
         G = cn.closure(gens)
-        cn.all_element_orders(G)
-        assert "_elem_set" not in vars(G)
         built = cn.closure(gens)
-        # Membership in a group is a key lookup and builds no set.
-        assert built.elements[-1] in built and "_elem_set" not in vars(built)
-        assert all(g in G for g in built.elements)
+        # Membership, in a group or a subgroup, is a key lookup, and
+        # equality and hash read orders and generators: none of them
+        # builds an element list.
+        assert gens[1] * gens[0] in built
         assert identity(G.degree + 1) not in G
         assert G == built and hash(G) == hash(built)
         assert G != cn.closure(gens[:1])
         H = cn.generated_subgroup(G, gens[0])
-        assert "_elem_set" not in vars(H)
-        assert gens[0] in H and "_elem_set" in vars(H)
+        assert gens[0] in H and gens[1] not in H and len(H) == cn.perm_order(gens[0])
+        assert all("elements" not in vars(X) for X in (G, built, H))
+        assert all(g in G for g in built.elements)
+        assert list(H) == sorted(H.elements) and "elements" in vars(H)
 
 
 class TestMembership:
@@ -116,6 +117,86 @@ class TestMembership:
     def test_other_degrees_and_objects_are_not_members(self, s3):
         for outside in (identity(2), identity(4), cycle([0, 1], 4), s3.elements[1].images, None, 0):
             assert outside not in s3
+
+
+class TestEquality:
+    """``G == H`` compares degree, order and H's generators in G; the
+    frozenset of the elements is the reference."""
+
+    def test_against_the_element_set_on_the_corpus(self, corpus):
+        groups = list(corpus.values())
+        groups += [cn.closure(G.generators[::-1]) for G in groups]
+        groups += [cn.closure([cycle([0, 1], 3)]), cn.closure([cycle([1, 2], 3)])]
+        # The normal Klein four-group in S4 and one that is not normal.
+        groups += [
+            cn.closure([cycle([0, 1], 4) * cycle([2, 3], 4), cycle([0, 2], 4) * cycle([1, 3], 4)]),
+            cn.closure([cycle([0, 1], 4), cycle([2, 3], 4)]),
+        ]
+        sets = [(G.degree, frozenset(G.elements)) for G in groups]
+        equal_pairs = 0
+        for G, S in zip(groups, sets):
+            for H, T in zip(groups, sets):
+                assert (G == H) == (S == T), (G, H)
+                if S == T:
+                    assert hash(G) == hash(H)
+                    equal_pairs += G is not H
+        assert equal_pairs >= len(corpus)
+
+
+def numbered_apart_s4():
+    """S4 from (0 1), (1 2 3) and (2 3), and from the same generators in
+    another order: equal groups whose closure numberings differ."""
+    a, b, c = cycle([0, 1], 4), cycle([1, 2, 3], 4), cycle([2, 3], 4)
+    G, G2 = cn.closure([a, b, c]), cn.closure([c, a, b])
+    assert G == G2 and G is not G2
+    assert [G._dimino.images_of(i) for i in range(3)] == [G2._dimino.images_of(i) for i in range(3)]
+    assert G._dimino.images_of(3) != G2._dimino.images_of(3)
+    return G, G2
+
+
+class TestEqualParentsNumberedApart:
+    """A subgroup of one group, used in an equal group that numbers its
+    elements differently, against the sweep oracles in that group."""
+
+    def test_every_subgroup_of_s4(self):
+        G, G2 = numbered_apart_s4()
+        Z = oracle.center(G2)
+        subgroups = cn.all_subgroups(G)
+        # A hash of orders alone would put the nine subgroups of order 2 in one bucket.
+        assert len({hash(H) for H in subgroups}) == len(subgroups) == 30
+        for H in subgroups:
+            members = frozenset(H.elements)
+            H2 = Subgroup(G2, H.elements)
+            assert H == H2 and H2 == H and hash(H) == hash(H2)
+            assert all((g in H) == (g in H2) == (g in members) for g in G2.elements)
+            N = cn.normalizer(G2, H)
+            assert set(N.elements) == oracle.normalizer(G2, H) and N == cn.normalizer(G, H)
+            conjugates = oracle.conjugate_subgroups(G2, H)
+            assert cn.count_conjugate_subgroups(G2, H) == len(conjugates)
+            assert cn.noncentral_union_size(G2, H) == len(set().union(*conjugates) - Z)
+            cosets = cn.left_cosets(G2, H)
+            assert cosets == cn.left_cosets(G2, H2)
+            assert set(map(frozenset, cosets)) == {frozenset(x * h for h in members) for x in G2.elements}
+            for g in G2.elements:
+                q = cn.minimal_power_in_subgroup(G2, g, H)
+                assert g**q in members and not any(g**p in members for p in range(1, q))
+
+    def test_a_subgroup_of_an_unequal_group_is_rejected(self, s3):
+        G, _ = numbered_apart_s4()
+        A4 = cn.closure([cycle([0, 1, 2], 4), cycle([1, 2, 3], 4)])
+        H = cn.generated_subgroup(A4, cycle([0, 1, 2], 4))
+        assert H != Subgroup(G, H.elements) and H != cn.generated_subgroup(s3, cycle([0, 1, 2], 3))
+        g = cycle([0, 1, 2], 4)
+        for query in (
+            lambda: cn.normalizer(G, H),
+            lambda: cn.count_conjugate_subgroups(G, H),
+            lambda: cn.noncentral_union_size(G, H),
+            lambda: cn.left_cosets(G, H),
+            lambda: cn.minimal_power_in_subgroup(G, g, H),
+            lambda: cn.conjugate_subgroup(G, H, g),
+        ):
+            with pytest.raises(ValueError, match="subgroup belongs to a different group"):
+                query()
 
 
 class TestElementOrder:
@@ -669,7 +750,7 @@ class TestAgainstProductOracles:
             self.assert_orders_match(G, name)
             for H in subgroups:
                 K = cn.closure(H.elements)
-                assert set(K.elements) == oracle.closure(H.elements, len(H)) == H._elem_set, name
+                assert set(K.elements) == oracle.closure(H.elements, len(H)) == set(H.elements), name
                 self.assert_orders_match(K, name)
                 assert cn.closure(H.elements[::-1]) == K, name
 
@@ -742,6 +823,16 @@ class TestMaximalRows:
         G = cn.closure([cycle([0, 1], 4), cycle(range(4), 4)])
         rows = [tuple(row.values()) for row in analyze(G)["maximal_subgroups"]]
         assert rows == [(12, 24, 1)] + [(8, 8, 3)] * 3 + [(6, 6, 4)] * 4
+
+    def test_generator_order_changes_no_subgroup_list(self):
+        # Z3 x S3, whose size-6 maximal subgroups differ in normalizer:
+        # lists sorted by closure's numbering would follow the generators.
+        gens = [cycle([0, 1, 2], 6), cycle([3, 4], 6), cycle([3, 4, 5], 6)]
+        lists = set()
+        for order in itertools.permutations(gens):
+            G = cn.closure(order)
+            lists.add(tuple(tuple(H.elements for H in subs) for subs in (cn.all_subgroups(G), cn.maximal_subgroups(G))))
+        assert len(lists) == 1
 
     def test_groups_above_the_lattice_bound_have_no_rows(self):
         assert analyze(cn.closure(cn.build_witness(128).generators))["maximal_subgroups"] is None
@@ -887,9 +978,9 @@ class TestAbelianShortcut:
             candidates.setdefault(m, {cycle(sorted({0, m - 1}), m), cycle(range(m), m)}).update(G.elements)
         key_hits_outside = 0
         for name, G in corpus.items():
-            d = G._dimino
+            d, members = G._dimino, frozenset(G.elements)
             for g in candidates[G.degree]:
-                if g in G._elem_set:
+                if g in members:
                     assert d.images_of(groups_module._require_member(G, g)) == g.images, name
                     continue
                 key_hits_outside += d.key(g.images) in d.index

@@ -130,7 +130,16 @@ def test_membership_on_the_9604_witness_reads_no_element_list():
     assert a in G and b in G and a * b in G
     assert perm.cycle([0, 2], G.degree) not in G
     assert perm.identity(G.degree - 1) not in G
-    assert "elements" not in vars(G) and "_elem_set" not in vars(G)
+    assert "elements" not in vars(G)
+
+
+def test_equality_on_the_9604_witness_reads_no_element_list():
+    # Equal order and the other group's generators in this one: r lookups.
+    gens = build_witness(9604).generators
+    G, reordered, smaller = closure(gens), closure(gens[::-1]), closure(gens[:1])
+    assert G == reordered and hash(G) == hash(reordered)
+    assert G != smaller and smaller != G
+    assert all("elements" not in vars(X) for X in (G, reordered, smaller))
 
 
 @pytest.mark.parametrize("n", [12, 54, 100, 128])
@@ -143,7 +152,7 @@ def test_order_pass_walks_only_elements_no_earlier_walk_reached(monkeypatch, n):
     for g in map(Permutation, map(G._dimino.images_of, range(n))):
         if g not in reached:
             expected += 1
-            reached |= generated_subgroup(G, g)._elem_set
+            reached.update(generated_subgroup(G, g).elements)
     walks = count_calls(monkeypatch, "_power_keys", groups)
     groups.all_element_orders(G)
     assert len(walks) == expected < n - 1
@@ -189,7 +198,7 @@ def test_order_pass_and_lattice_take_no_products(monkeypatch, n):
     subgroups = [generated_subgroup(G, g) for g in G.elements[1:6]]
     if n <= groups.DEFAULT_SUBGROUP_BOUND:
         subgroups = groups.all_subgroups(G)
-    numbers = [groups._numbers(G, F) for F in subgroups]
+    numbers = [F.numbers for F in subgroups]
     products = count_products(monkeypatch)
     groups.all_element_orders(G)
     if n <= groups.DEFAULT_SUBGROUP_BOUND:
