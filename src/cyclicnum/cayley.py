@@ -10,35 +10,26 @@ column 0, keeps rows and columns Latin with bitmasks, and propagates
 associativity: each entry it sets fills every cell that a triple with
 three known cells forces, and a clash rejects the branch.
 
-Tables are deduplicated up to relabeling by a canonical form, the
-lexicographically least identity-fixing relabeling.  It is found by
-branch and bound rather than by trying all (n-1)! relabelings: labels
-are handed out in order of first appearance while the table is read row
-by row, so row 1 names every element and only the choices of new header
-elements branch.  Row 1 of a canonical table is then the pattern of
-element 1's order k, and k is the least order of any non-identity
-element, so when k > 2 there is no involution.  The row of the first
-header names new blocks of k labels in first-appearance order.  The
-search only builds tables that meet these bounds (20 of the 2760
-identity-fixed tables at order 8), in increasing order, so the first
-candidate of each class is its canonical form.  Each later candidate is
-tested against the classes found so far with its element orders, by
-the same relabeling walk held to a class's canonical form, and no
-canonical form is computed.
-
-Order 12 takes about 0.1 s and order 15 a few hundredths of a second,
-with no warning.  Order 16 takes about 25 s, nearly all of it in those
-isomorphism tests, which is why the hard cap stops at 15.
+Tables are told apart up to relabeling by a canonical form, the
+lexicographically least identity-fixing relabeling.  The search builds
+only tables that meet bounds every canonical table meets (20 of the
+2760 identity-fixed tables at order 8; see ``_candidate_tables``), in
+increasing order, so the first candidate of each class is its canonical
+form.  Each later candidate is tested against the classes found so far
+with its element orders, by a relabeling walk held to a class's form,
+and ``canonical_form`` finds a table's class the same way.  Order 16
+takes about 25 s, nearly all of it in those isomorphism tests, which is
+why the order cap is 15.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import CapacityError
 
-DEFAULT_ORDER_CAP = 8
-HARD_ORDER_CAP = 15
+ORDER_CAP = 15
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -105,10 +96,12 @@ def _candidate_tables(n: int) -> list[Table]:
     a forced assignment, and a clash with a known cell or with a row's or
     column's used values rejects the branch; ``trail`` undoes it.
 
-    Three bounds that every canonical table meets (see canonical_form)
-    cut the rest.  A canonical table names its labels in row 1 in
-    first-appearance order, so entry (1, j) is at most one more than the
-    largest label named so far: j itself or any earlier entry of row 1.
+    Three bounds that every canonical table meets cut the rest.  Read
+    left to right, an unlabeled product in row 1 can take the next free
+    label, and any other is larger, so a canonical table names its labels
+    in row 1 in first-appearance order.  Entry (1, j) is then at most one
+    more than the largest label named so far, j itself or any earlier
+    entry of row 1.
     A complete row 1 is then the pattern of element 1's order k: labels
     come in blocks B_c = {ck, ..., ck + k - 1}, and label ck + i is
     g**i * h_c for g = element 1 and the block's header h_c = ck.
@@ -261,93 +254,34 @@ def canonical_form(t: "CayleyTable | Table") -> Table:
     """Least relabeling of the group table among all that keep the identity at 0.
 
     Two tables describe the same group up to renaming iff their canonical
-    forms are equal.  Comparison is row-wise lexicographic.  A raw table
-    is validated first, so a table that is not a group raises ValueError.
+    forms are equal.  Comparison is row-wise lexicographic.  The form is
+    the class of enumerate_groups(len(t)) that t is isomorphic to, so
+    orders above ORDER_CAP raise CapacityError.  A raw table is validated
+    first, so a table that is not a group raises ValueError.
     """
-    return _canonical_form(_group_rows(t))
+    table = _group_rows(t)
+    orders = _orders(table)
+    return next(canon for same, canon in _classes(len(table)) if same == orders and _isomorphic(table, canon))
 
 
-def _canonical_form(table: Table) -> Table:
-    """canonical_form of a table known to be a group table.
-
-    The relabeling is built while the candidate is read in row-major
-    order: a header label with no element yet branches over every
-    unlabeled element, and an unlabeled product takes the next free
-    label, since any other label there is larger.  Row 1 thereby names
-    every label (first-appearance order), so later rows are fixed, and a
-    branch is cut as soon as its prefix exceeds the best candidate found
-    so far.
-    """
-    n = len(table)
-    if n <= 2:
-        return table
-    rho = [0] * n  # new label -> old element
-    sigma = [0] + [-1] * (n - 1)  # old element -> new label, -1 if unlabeled
-    row1 = [1] * n  # row 1 of the candidate, filled left to right
-    best: list[tuple[int, ...]] = []
-
-    # Invariant: labels 0..k-1 are assigned, row-1 cells 1..y-1 are filled,
-    # and ``tight`` says they equal best's (False before the first leaf).
-    # Each call returns whether best was replaced below it; the new best
-    # shares the caller's prefix, so the caller is tight from then on.
-    def header(y: int, k: int, tight: bool) -> bool:
-        if y == n:
-            return leaf(tight)
-        if y < k:
-            return cell(y, k, tight)
-        improved = False
-        for e in range(1, n):
-            if sigma[e] < 0:
-                rho[y] = e
-                sigma[e] = y
-                if cell(y, k + 1, tight):
-                    improved = tight = True
-                sigma[e] = -1
-        return improved
-
-    def cell(y: int, k: int, tight: bool) -> bool:
-        p = table[rho[1]][rho[y]]
-        fresh = sigma[p] < 0
-        if fresh:
-            sigma[p] = k
-            rho[k] = p
-        v = sigma[p]
-        improved = False
-        if not tight or v <= best[1][y]:
-            row1[y] = v
-            improved = header(y + 1, k + fresh, tight and v == best[1][y])
-        if fresh:
-            sigma[p] = -1
-        return improved
-
-    def leaf(tight: bool) -> bool:
-        rows = [tuple(range(n)), tuple(row1)]
-        for x in range(2, n):
-            old_row = table[rho[x]]
-            row = tuple(sigma[old_row[o]] for o in rho)
-            if tight:
-                if row > best[x]:
-                    return False
-                tight = row == best[x]
-            rows.append(row)
-        if tight:
-            return False
-        best[:] = rows
-        return True
-
-    header(1, 1, False)
-    return tuple(best)
+@cache
+def _classes(n: int) -> tuple[tuple[tuple[int, ...], Table], ...]:
+    """Each class of enumerate_groups(n) with its element orders, found once per n."""
+    return tuple((_orders(c.table), c.table) for c in enumerate_groups(n))
 
 
 def _isomorphic(table: Table, canon: Table) -> bool:
     """Whether some identity-fixing relabeling of a group table gives canon.
 
-    canon is a canonical form.  The relabeling walk of _canonical_form
-    runs with its row 1 held equal to canon's, so each new element of
-    row 1 must get canon's next label.  After each new label the branch
-    is cut when a product of two labeled elements has a label other than
-    canon's entry, or none while canon's entry is a label already used.
-    The walk stops at the first relabeling that reproduces canon.
+    canon is a canonical form, so its row 1 names its labels in
+    first-appearance order.  The relabeling is built while row 1 is read
+    left to right: a header label with no element yet branches over every
+    unlabeled element, and a row-1 product that is not yet labeled must
+    take canon's next label.  After each new label the
+    branch is cut when a product of two labeled elements has a label
+    other than canon's entry, or none while canon's entry is a label
+    already used.  The walk stops at the first relabeling that
+    reproduces canon.
     """
     n = len(table)
     rho = [0] * n  # new label -> old element
@@ -417,21 +351,17 @@ def _orders(table: Table) -> tuple[int, ...]:
     return tuple(sorted(orders))
 
 
-def enumerate_groups(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[CayleyTable]:
+def enumerate_groups(n: int) -> list[CayleyTable]:
     """All groups of order n up to relabeling, as canonical-form tables.
 
-    Refuses n beyond the cap (default 8, hard limit HARD_ORDER_CAP = 15).
-    The cost follows the number of groups, not n: order 12 takes about
-    0.1 s against a few milliseconds at order 8, and order 16, past the
-    hard limit, about 25 s.
+    Refuses n above ORDER_CAP = 15 with CapacityError.  The cost follows
+    the number of groups, not n: order 12 takes about 0.1 s against a
+    few milliseconds at order 8, and order 16, past the cap, about 25 s.
     """
     if n < 1:
         raise ValueError("the order must be at least 1")
-    effective = min(cap, HARD_ORDER_CAP)
-    if n > effective:
-        raise CapacityError(
-            f"enumeration of order {n} exceeds the cap of {effective}"
-        )
+    if n > ORDER_CAP:
+        raise CapacityError(f"enumeration of order {n} exceeds the cap of {ORDER_CAP}")
     # The candidates are group tables by construction: skip re-validating
     # them.  They come in increasing order and include every class's
     # canonical form, which is the least table of its class, so a

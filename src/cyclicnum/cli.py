@@ -19,7 +19,7 @@ import json
 import sys
 from collections.abc import Sequence
 
-from .cayley import DEFAULT_ORDER_CAP, HARD_ORDER_CAP, element_orders, enumerate_groups
+from .cayley import element_orders, enumerate_groups
 from .errors import CapacityError
 from .groups import DEFAULT_CLOSURE_CAP, DEFAULT_SUBGROUP_BOUND, analyze, closure
 from .numtheory import cyclic_numbers, factorize, gcd
@@ -250,7 +250,7 @@ def cmd_analyze(args) -> int:
 def cmd_enumerate(args) -> int:
     n = args.n
     reports = []
-    for c in enumerate_groups(n, cap=args.max_order):
+    for c in enumerate_groups(n):
         orders = element_orders(c)
         reports.append({"cyclic": orders[-1] == n, "element_orders": list(orders)})
     payload = {
@@ -332,10 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate all groups of order N up to relabeling")
     p.add_argument("n", type=int, metavar="N")
-    p.add_argument(
-        "--max-order", type=int, default=DEFAULT_ORDER_CAP, metavar="CAP",
-        help=f"enumeration order cap (default {DEFAULT_ORDER_CAP}, hard limit {HARD_ORDER_CAP})",
-    )
     add_common(p)
     p.set_defaults(func=cmd_enumerate)
 

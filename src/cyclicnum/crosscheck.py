@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cayley import DEFAULT_ORDER_CAP, CayleyTable, Table, enumerate_groups, table_is_cyclic
+from .cayley import CayleyTable, Table, enumerate_groups, table_is_cyclic
 from .groups import FiniteGroup, closure
 from .numtheory import is_cyclic_number
 from .perm import Permutation
@@ -45,7 +45,7 @@ class TheoremRow:
         return self.all_cyclic == self.predicted
 
 
-def verify_theorem_small(n_max: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[TheoremRow]:
+def verify_theorem_small(n_max: int) -> list[TheoremRow]:
     """For each n <= n_max, confirm enumeration agrees with the number test.
 
     "Every group of order n is cyclic" is decided two independent ways:
@@ -53,7 +53,7 @@ def verify_theorem_small(n_max: int, *, cap: int = DEFAULT_ORDER_CAP) -> list[Th
     """
     out = []
     for n in range(1, n_max + 1):
-        classes = enumerate_groups(n, cap=cap)
+        classes = enumerate_groups(n)
         cyclic = sum(1 for c in classes if table_is_cyclic(c))
         out.append(
             TheoremRow(

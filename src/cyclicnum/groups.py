@@ -128,19 +128,20 @@ class FiniteGroup:
     def elements(self) -> tuple[Permutation, ...]:
         return tuple(map(Permutation._trusted, sorted(self._dimino.images())))
 
-    @cached_property
-    def _conjugations(self) -> list[Callable[[int], int]]:
-        """For each generator b, the map from element number i to the number
+    def _conjugation(self, b: Permutation) -> Callable[[int], int]:
+        """For b in the group, the map from element number i to the number
         of b^-1*x_i*b, which sends a base point p to b^-1[x_i[b[p]]]."""
         d = self._dimino
         shape = _key(range(len(d.base)))  # a list of images at the base, as a key
-        steps = []
-        for b in self.generators:
-            def step(i, ib=b.inverse().images, b_base=[b.images[p] for p in d.base]):
-                at = d.reader(i)
-                return d.index[shape([ib[at(y)] for y in b_base])]
-            steps.append(step)
-        return steps
+        ib, b_base = b.inverse().images, [b.images[p] for p in d.base]
+
+        def step(i):
+            return d.index[shape([ib[x] for x in map(d.reader(i), b_base)])]
+        return step
+
+    @cached_property
+    def _conjugations(self) -> list[Callable[[int], int]]:
+        return [self._conjugation(b) for b in self.generators]
 
     def __len__(self) -> int:
         return self._dimino.size
@@ -662,10 +663,9 @@ def conjugacy_class(G: FiniteGroup, g: Permutation) -> frozenset[Permutation]:
 
 
 def conjugate_subgroup(G: FiniteGroup, F: Subgroup, b: Permutation) -> Subgroup:
-    _require_subgroup_of(G, F)
+    numbers = _require_subgroup_of(G, F)
     _require_member(G, b, "b")
-    d, ib = G._dimino, b.inverse()
-    return Subgroup._trusted(G, (d.index[d.key((ib * f * b).images)] for f in F))
+    return Subgroup._trusted(G, map(G._conjugation(b), numbers))
 
 
 def _normalizer(G: FiniteGroup, F: frozenset[int]) -> list[int]:

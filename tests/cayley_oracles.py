@@ -7,7 +7,9 @@ instead of branching on them, and must find the same tables.
 ``all_labeled_tables`` is the same search without the canonical-row
 pruning, so it finds every identity-fixed group table (2760 at order 8,
 about 40 s).  ``brute_canonical_form`` tries all (n-1)! identity-fixing
-relabelings.  ``meets_search_bounds`` tests a complete table against
+relabelings.  ``bb_canonical_form`` finds the same form by branch and
+bound, fast enough to check the classes of the unfiltered search at
+orders 9 and 10.  ``meets_search_bounds`` tests a complete table against
 the two canonicity bounds that ``cyclicnum.cayley`` adds to row 1's:
 the search must find exactly the oracle's tables that meet them.  The
 search's first table of each class is then the class's canonical form,
@@ -72,7 +74,7 @@ def candidate_tables(n, bound_row1=True):
     A backtracker over the interior cells in row-major order that tries
     every value a row and column leave free and keeps it if ``consistent``
     accepts it.  A canonical table names its labels in row 1 in
-    first-appearance order (see canonical_form), so entry (1, j) is at
+    first-appearance order (see bb_canonical_form), so entry (1, j) is at
     most one more than the largest label named so far: j itself or any
     earlier entry of row 1.  With bound_row1 false that bound is dropped
     and every identity-fixed table is found.
@@ -179,4 +181,76 @@ def brute_canonical_form(table):
                     verdict = -1
         if best is None or verdict == -1:
             best = cand
+    return tuple(best)
+
+
+def bb_canonical_form(table):
+    """Least identity-fixing relabeling of a group table, by branch and bound.
+
+    The relabeling is built while the candidate is read in row-major
+    order: a header label with no element yet branches over every
+    unlabeled element, and an unlabeled product takes the next free
+    label, since any other label there is larger.  Row 1 thereby names
+    every label (first-appearance order), so later rows are fixed, and a
+    branch is cut as soon as its prefix exceeds the best candidate found
+    so far.
+    """
+    n = len(table)
+    if n <= 2:
+        return table
+    rho = [0] * n  # new label -> old element
+    sigma = [0] + [-1] * (n - 1)  # old element -> new label, -1 if unlabeled
+    row1 = [1] * n  # row 1 of the candidate, filled left to right
+    best: list[tuple[int, ...]] = []
+
+    # Invariant: labels 0..k-1 are assigned, row-1 cells 1..y-1 are filled,
+    # and ``tight`` says they equal best's (False before the first leaf).
+    # Each call returns whether best was replaced below it; the new best
+    # shares the caller's prefix, so the caller is tight from then on.
+    def header(y: int, k: int, tight: bool) -> bool:
+        if y == n:
+            return leaf(tight)
+        if y < k:
+            return cell(y, k, tight)
+        improved = False
+        for e in range(1, n):
+            if sigma[e] < 0:
+                rho[y] = e
+                sigma[e] = y
+                if cell(y, k + 1, tight):
+                    improved = tight = True
+                sigma[e] = -1
+        return improved
+
+    def cell(y: int, k: int, tight: bool) -> bool:
+        p = table[rho[1]][rho[y]]
+        fresh = sigma[p] < 0
+        if fresh:
+            sigma[p] = k
+            rho[k] = p
+        v = sigma[p]
+        improved = False
+        if not tight or v <= best[1][y]:
+            row1[y] = v
+            improved = header(y + 1, k + fresh, tight and v == best[1][y])
+        if fresh:
+            sigma[p] = -1
+        return improved
+
+    def leaf(tight: bool) -> bool:
+        rows = [tuple(range(n)), tuple(row1)]
+        for x in range(2, n):
+            old_row = table[rho[x]]
+            row = tuple(sigma[old_row[o]] for o in rho)
+            if tight:
+                if row > best[x]:
+                    return False
+                tight = row == best[x]
+            rows.append(row)
+        if tight:
+            return False
+        best[:] = rows
+        return True
+
+    header(1, 1, False)
     return tuple(best)

@@ -17,8 +17,8 @@ from cyclicnum import (
     validate_table,
     verify_theorem_small,
 )
-from cyclicnum.cayley import _candidate_tables, _canonical_form, _isomorphic
-from cayley_oracles import brute_canonical_form, candidate_tables, meets_search_bounds
+from cyclicnum.cayley import _candidate_tables, _isomorphic
+from cayley_oracles import bb_canonical_form, brute_canonical_form, candidate_tables, meets_search_bounds
 
 # a Latin square with identity 0 that is not associative: (1*1)*1 = 3 but
 # 1*(1*1) = 0 (built from the order-6 cyclic table by swapping the
@@ -97,7 +97,7 @@ class TestEnumeration:
     def test_pruned_search_finds_every_oracle_class(self, oracle_pack, labeled_tables):
         classes, _ = oracle_pack
         for n in range(1, 9):
-            expected = {canonical_form(t) for t in labeled_tables[n]}
+            expected = {bb_canonical_form(t) for t in labeled_tables[n]}
             assert {c.table for c in classes[n]} == expected
 
     def test_order_eight_multisets(self, oracle_pack):
@@ -122,17 +122,17 @@ class TestEnumeration:
             enumerate_groups(0)
 
     def test_cap_below_request(self):
-        with pytest.raises(CapacityError):
-            enumerate_groups(9)
+        with pytest.raises(CapacityError, match="cap of 15"):
+            enumerate_groups(16)
 
-    def test_hard_limit(self):
-        with pytest.raises(CapacityError):
-            enumerate_groups(16, cap=20)
+    def test_canonical_form_past_the_cap(self):
+        with pytest.raises(CapacityError, match="cap of 15"):
+            canonical_form(circulant(16))
 
-    def test_above_default_does_not_warn(self):
+    def test_order_nine_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            classes = enumerate_groups(9, cap=10)
+            classes = enumerate_groups(9)
         assert len(classes) == 2
 
     def test_orders_nine_to_fifteen_match_a000001(self):
@@ -140,7 +140,7 @@ class TestEnumeration:
         # Z14, D7; Z15, the first composite cyclic number
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = verify_theorem_small(15, cap=15)
+            rows = verify_theorem_small(15)
         assert all(row.agree for row in rows)
         counts = [(row.group_count, row.cyclic_count) for row in rows[8:]]
         assert counts == [(2, 1), (2, 1), (1, 1), (5, 1), (1, 1), (2, 1), (1, 1)]
@@ -148,7 +148,7 @@ class TestEnumeration:
     def test_order_twelve_multisets(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            classes = enumerate_groups(12, cap=12)
+            classes = enumerate_groups(12)
         assert sorted(element_orders(c) for c in classes) == sorted([
             (1, 2, 3, 3, 4, 4, 6, 6, 12, 12, 12, 12),  # Z12
             (1, 2, 2, 2, 3, 3, 6, 6, 6, 6, 6, 6),  # Z2 x Z6
@@ -168,9 +168,9 @@ class TestPropagatingSearch:
         unfiltered = candidate_tables(n)
         assert found == [t for t in unfiltered if meets_search_bounds(t)], n
         assert all(a < b for a, b in zip(found, found[1:])), n
-        classes = {c.table for c in enumerate_groups(n, cap=n)}
+        classes = {c.table for c in enumerate_groups(n)}
         # Against the oracle without the two bounds: no class is lost.
-        assert classes == {_canonical_form(t) for t in unfiltered}, n
+        assert classes == {bb_canonical_form(t) for t in unfiltered}, n
 
     def test_candidates_and_classes_up_to_nine(self):
         for n in range(1, 10):
@@ -217,18 +217,23 @@ class TestCanonicalForm:
                     shuffled = relabel(t.table, rho)
                     assert canonical_form(shuffled) == reference
 
-    def test_matches_brute_force_on_every_labeled_table_up_to_seven(self, labeled_tables):
+    # The branch and bound oracle checks the unfiltered search's classes at
+    # orders 9 and 10, where trying every relabeling is too slow; it is
+    # held to brute force here.
+    @pytest.mark.parametrize("form", [canonical_form, bb_canonical_form])
+    def test_matches_brute_force_on_every_labeled_table_up_to_seven(self, labeled_tables, form):
         for n in range(1, 8):
             for table in labeled_tables[n]:
-                assert canonical_form(table) == brute_canonical_form(table)
+                assert form(table) == brute_canonical_form(table)
 
-    def test_matches_brute_force_on_order_eight_relabelings(self, oracle_pack):
+    @pytest.mark.parametrize("form", [canonical_form, bb_canonical_form])
+    def test_matches_brute_force_on_order_eight_relabelings(self, oracle_pack, form):
         classes, _ = oracle_pack
         rng = random.Random(20261018)
         for t in classes[8]:
             for _ in range(30):
                 shuffled = relabel(t.table, [0] + rng.sample(range(1, 8), 7))
-                assert canonical_form(shuffled) == brute_canonical_form(shuffled) == t.table
+                assert form(shuffled) == brute_canonical_form(shuffled) == t.table
 
     def test_separates_the_two_order_four_groups(self):
         z4, v4 = circulant(4), ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))

@@ -348,8 +348,8 @@ class TestEnumerate:
         assert (1, 2, 2, 2, 3, 3) in multisets
 
     def test_cap_exceeded_states_cap(self, capsys):
-        rc, _, err = run(capsys, "enumerate", "12")
-        assert rc == 2 and "cap of 8" in err
+        rc, _, err = run(capsys, "enumerate", "16")
+        assert rc == 2 and "cap of 15" in err
 
 
 class TestTopLevel:

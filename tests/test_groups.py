@@ -180,6 +180,8 @@ class TestEqualParentsNumberedApart:
             for g in G2.elements:
                 q = cn.minimal_power_in_subgroup(G2, g, H)
                 assert g**q in members and not any(g**p in members for p in range(1, q))
+                conjugate = {g.inverse() * h * g for h in members}
+                assert set(cn.conjugate_subgroup(G2, H, g)) == set(cn.conjugate_subgroup(G, H, g)) == conjugate
 
     def test_a_subgroup_of_an_unequal_group_is_rejected(self, s3):
         G, _ = numbered_apart_s4()

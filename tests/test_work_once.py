@@ -142,6 +142,16 @@ def test_equality_on_the_9604_witness_reads_no_element_list():
     assert all("elements" not in vars(X) for X in (G, reordered, smaller))
 
 
+def test_conjugate_subgroup_on_the_9604_witness_reads_no_element_list():
+    # F's element numbers go through b's conjugation map; the group is abelian.
+    G = closure(build_witness(9604).generators)
+    a, b = G.generators
+    F = generated_subgroup(G, a)
+    K = groups.conjugate_subgroup(G, F, b)
+    assert K == F and a in K
+    assert all("elements" not in vars(X) for X in (G, F, K))
+
+
 @pytest.mark.parametrize("n", [12, 54, 100, 128])
 def test_order_pass_walks_only_elements_no_earlier_walk_reached(monkeypatch, n):
     G = closure(build_witness(n).generators)
@@ -329,8 +339,14 @@ def test_enumerate_takes_one_order_pass_per_class(monkeypatch, capsys):
 
 
 def test_enumerate_takes_no_canonical_form(monkeypatch, capsys):
-    # The first candidate of each class is its canonical form.
-    calls = count_calls(monkeypatch, "_canonical_form", cayley)
+    # The first candidate of each class is its canonical form, and
+    # canonical_form reads its class off one search per order.
+    calls = count_calls(monkeypatch, "canonical_form", cayley)
     assert cli.main(["enumerate", "8", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["classes"] == 5
     assert calls == []
+    tables = [c.table for c in enumerate_groups(8)] * 10
+    cayley._classes.cache_clear()
+    searches = count_calls(monkeypatch, "_candidate_tables", cayley)
+    assert [cayley.canonical_form(t) for t in tables] == tables
+    assert searches == [(8,)]
