@@ -75,10 +75,10 @@ in it when the number of f's images at a's key is.  ``g in G`` and
 ``g in H``, like every query on one element, are one key lookup and one
 whole-tuple confirm.  Only the subgroup lattice, capped at order 64,
 builds a multiplication table on element numbers (|G|^2 entries), inside
-the call: the key of a*b is a's images at b's key.  The lattice grows by
-cyclic extension, each subgroup an ``_orbit`` of the identity, so
-``_orbit`` is the module's one breadth-first search; a join Lagrange's
-theorem forces to be G takes none, and maxima are found on the
+the call: the key of a*b is a's images at b's key.  The lattice steps
+from each subgroup H to H, c*H, ..., c^(p-1)*H for each c with c*H = H*c
+and c^p in H, p prime, which reaches every solvable subgroup and so is
+exact below order 120 (see ``all_subgroups``).  Maxima are found on the
 lattice's sets of numbers, sorted by their elements.  For a maximal
 M, M <= N(M) <= G forces N(M) to be M or G, with [G : N(M)] conjugates,
 so ``analyze`` needs one normality test per maximum: the conjugation
@@ -127,6 +127,15 @@ class FiniteGroup:
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
         return tuple(map(Permutation._trusted, sorted(self._dimino.images())))
+
+    @cached_property
+    def _rank(self) -> list[int]:
+        """Each element number's position in elements.  Sets of numbers sorted
+        by rank sort as their elements do, whatever the generators' order."""
+        d, rank = self._dimino, [0] * len(self)
+        for r, g in enumerate(self.elements):
+            rank[d.index[d.key(g.images)]] = r
+        return rank
 
     def _conjugation(self, b: Permutation) -> Callable[[int], int]:
         """For b in the group, the map from element number i to the number
@@ -738,61 +747,52 @@ def _lattice(G: FiniteGroup) -> list[frozenset[int]]:
             f" (this group has order {len(G)})"
         )
     d = G._dimino
-    images = [G.elements[r].images for r in _rank(G)]  # element i's images at images[i]
-    # right[b][a] is the number of a*b, which sends a base point to a's
-    # image of b's image of it: its key is a's images at b's key.
+    images = [G.elements[r].images for r in G._rank]  # element i's images at images[i]
+    # right[b][a] is the number of a*b, whose key is a's images at b's key
     right = [[d.index[k] for k in map(_key([b[p] for p in d.base]), images)] for b in images]
-
-    def generated(gens: tuple[int, ...]) -> frozenset[int]:
-        return frozenset(_orbit(0, [right[b].__getitem__ for b in gens]))
-
-    n = len(images)
-    divisors = [m for m in range(1, n + 1) if n % m == 0]
-    # (|H|, ord c) -> whether |G| is the only divisor above |H| that lcm(|H|, ord c) divides
-    forces_G = {(h, k): all(m == n for m in divisors if m > h and m % lcm(h, k) == 0) for h in divisors for k in divisors}
-    cyclic = {generated((i,)): i for i in range(n)}
-    known = {C: (c,) for C, c in cyclic.items()}
-    work = list(known)
+    primes = [p for p in range(2, len(G) + 1) if all(p % q for q in range(2, p))]
+    steps = []  # (c, c^p, [c^0, ..., c^(p-1)]) for each element c and prime p | ord(c)
+    for c in range(len(G)):
+        powers = [d.index[x] for x in _power_keys(d.reader(c), d.base)]
+        steps += [(c, powers[p % len(powers)], powers[:p]) for p in primes if len(powers) % p == 0]
+    known, work = {frozenset([0])}, [frozenset([0])]
     for H in work:  # grows while it is read
-        for C, c in cyclic.items():
-            if c not in H:
-                gens = known[H] + (c,)
-                joined = frozenset(range(n)) if forces_G[len(H), len(C)] else generated(gens)
-                if joined not in known:
-                    known[joined] = gens
-                    work.append(joined)
-    return list(known)
+        covered = set(H)
+        for c, c_p, powers in steps:
+            if c not in covered and c_p in H and {right[h][c] for h in H} == {right[c][h] for h in H}:
+                K = _extension(H, powers, right)
+                covered |= K  # [K : H] = p, so every c' in K - H gives K again
+                if K not in known:
+                    known.add(K)
+                    work.append(K)
+    return list(known | {frozenset(range(len(G)))})  # G, which no step reaches unless it is solvable
 
 
-def _rank(G: FiniteGroup) -> list[int]:
-    """Each element number's position in G.elements.  Sets of numbers sorted
-    by rank sort as their elements do, whatever the generators' order."""
-    d, rank = G._dimino, [0] * len(G)
-    for r, g in enumerate(G.elements):
-        rank[d.index[d.key(g.images)]] = r
-    return rank
+def _extension(H: frozenset[int], powers: list[int], right: list[list[int]]) -> frozenset[int]:
+    """H, c*H, ..., c^(p-1)*H from c's powers c^0, ..., c^(p-1): right[h][x] is x*h."""
+    return frozenset(right[h][x] for x in powers for h in H)
 
 
 def _subgroups(G: FiniteGroup, sets: Iterable[frozenset[int]]) -> list[Subgroup]:
     """Sets of element numbers as subgroups, sorted by (order, element list)."""
-    rank = _rank(G)
+    rank = G._rank
     return [Subgroup._trusted(G, S) for S in sorted(sets, key=lambda S: (len(S), sorted(map(rank.__getitem__, S))))]
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, for groups of order up to DEFAULT_SUBGROUP_BOUND (64).
 
-    Cyclic extension (Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005): each subgroup found, starting
-    from the cyclic ones, is joined with every cyclic subgroup it lacks.
-    A chain of such joins reaches every <x1, ..., xr>, so the sweep is
-    exhaustive.  A join is the ``_orbit`` of the identity under right
-    multiplication by the subgroup's generators and the new one, on
-    indices into G.elements, from an index table keyed on closure's
-    checked base (see the module docstring), unless Lagrange's theorem
-    forces it to be G: |<H, c>| divides |G|, exceeds |H| and is a multiple
-    of lcm(|H|, ord c).  That makes at most |G| + S*C orbits for S
-    subgroups and C cyclic ones.  Results are sorted by (order, elements).
+    One rule (Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005): from the trivial group, each
+    subgroup H found is extended by every c outside it with c*H = H*c and
+    c^p in H for a prime p | ord(c), to K = H, c*H, ..., c^(p-1)*H, read
+    off a table of products on element numbers.  As [K : H] = p is prime,
+    every c' in K - H gives K again and is skipped: each K in which H is
+    normal of prime index is built once.  A solvable subgroup has a
+    composition series with factors of prime order, so the steps reach
+    it; G is added last.  Below order 120 the only non-solvable group is
+    A5, whose proper subgroups are solvable, so the result is exact for
+    |G| < 120.  Results are sorted by (order, elements).
     """
     return _subgroups(G, _lattice(G))
 
@@ -831,7 +831,7 @@ def analyze(G: FiniteGroup) -> dict:
             sizes.append(len(cls))
     rows = None
     if len(G) <= DEFAULT_SUBGROUP_BOUND:
-        rank, rows = _rank(G), []
+        rank, rows = G._rank, []
         for M in sorted(_maxima(G), key=lambda S: (-len(S), sorted(map(rank.__getitem__, S)))):
             N = len(G) if all(step(i) in M for step in steps for i in M) else len(M)  # |N(M)|
             rows.append({"size": len(M), "normalizer_size": N, "conjugate_count": len(G) // N})

@@ -25,13 +25,14 @@ GROUP_FILES = {
     "z6": {"degree": 6, "generators": [[1, 2, 3, 4, 5, 0]]},
     "s4": {"degree": 4, "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]},
     "z2cubed": {"degree": 6, "generators": [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]]},
+    "a5": {"degree": 5, "generators": [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]},
 }
 WITNESS_FILES = {"w21": 21, "w38": 38, "w54": 54, "w114": 114, "w128": 128}
 
 ARGVS = (
     [["check", n] for n in ("1", "4", "15", "20", "21", "999985999949")]
     + [["verify", n] for n in ("6", "12", "18", "100")]
-    + [["analyze", "{%s}" % name] for name in ("s3", "z6", "s4", "z2cubed", "w21", "w38", "w54", "w114", "w128")]
+    + [["analyze", "{%s}" % name] for name in ("s3", "z6", "s4", "z2cubed", "a5", "w21", "w38", "w54", "w114", "w128")]
     + [["enumerate", n] for n in ("1", "4", "6", "8")]
 )
 CASES = (

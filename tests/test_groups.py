@@ -898,14 +898,22 @@ class TestCheckedBase:
     def test_quaternion_group_times_cyclic(self, q8, m):
         # Q8 x Zm: two cyclic subgroups of order 4 that share -1 generate a
         # proper subgroup of order 8 (Q8 itself, and for m = 2 also i with
-        # j*z, z the central element of order 2), so a Lagrange test that
-        # took |H| * ord c for lcm(|H|, ord c) would call these joins G
-        # and lose subgroups.
+        # j*z, z the central element of order 2).  The lattice reaches each
+        # in one step from <i>, by j or j*z: it normalizes <i>, and its
+        # square -1 lies in <i>.
         gens = [Permutation(list(g.images) + list(range(8, 8 + m))) for g in q8.generators]
         gens.append(Permutation(list(range(8)) + [8 + (i + 1) % m for i in range(m)]))
         G = cn.closure(gens)
         assert len(G) == 8 * m
         assert [H.elements for H in cn.all_subgroups(G)] == [H.elements for H in oracle.subgroups(G)]
+
+    def test_a5_the_one_non_solvable_group_below_order_120(self):
+        # No prime-index step reaches A5 itself, so the lattice adds G last;
+        # every proper subgroup is solvable and is reached by the steps.
+        G = cn.closure([cycle([0, 1, 2], 5), cycle(range(5), 5)])
+        subgroups = cn.all_subgroups(G)
+        assert len(G) == 60 and len(subgroups) == 59
+        self.assert_lattice_matches_oracle(G, subgroups, "A5")
 
     def test_lattice_of_order_64(self):
         # The subspaces of F2^6: 1+63+651+1395+651+63+1, and the maximal

@@ -8,6 +8,7 @@ element-order pass or conjugacy-class pass creeping back in fails here.
 import json
 import math
 
+import group_oracles
 import numtheory_oracles
 import pytest
 
@@ -219,28 +220,59 @@ def test_order_pass_and_lattice_take_no_products(monkeypatch, n):
     assert products == []
 
 
-def test_lattice_of_the_order_62_witness_takes_an_orbit_per_element_and_subgroup(monkeypatch):
-    # D31 has 34 subgroups.  Every join of a subgroup of order 2 or 31
-    # with a cyclic subgroup it lacks is G by Lagrange's theorem, so only
-    # the cyclic subgroups and the joins of the trivial group take orbits:
-    # 62 + 32 = 94.
-    G = closure(build_witness(62).generators)
-    orbits = count_calls(monkeypatch, "_orbit", groups)
-    subgroups = groups.all_subgroups(G)
-    assert len(subgroups) == 34
-    assert len(orbits) <= len(G) + len(subgroups)
+def normal_prime_index_pairs(G):
+    """The pairs H < K of the oracle's lattice with H normal in K and [K : H] prime."""
+    subgroups = group_oracles.subgroups(G)
+    sets = [frozenset(H.elements) for H in subgroups]
+    pairs = 0
+    for H, S in zip(subgroups, sets):
+        N = group_oracles.normalizer(G, H)
+        for T in sets:
+            index = len(T) // len(S)
+            pairs += S < T <= N and all(index % q for q in range(2, index))
+    return pairs
 
 
-@pytest.mark.parametrize("k", [5, 6])
-def test_lattice_joins_each_subgroup_once_per_cyclic_subgroup(monkeypatch, k):
-    # Cyclic extension: one orbit per element for the cyclic subgroups,
-    # then at most one per (subgroup, cyclic subgroup) pair.  Z2^k as k
-    # disjoint transpositions.
-    G = closure([perm.cycle([2 * i, 2 * i + 1], 2 * k) for i in range(k)])
-    cyclic = {generated_subgroup(G, g) for g in G.elements}
+def elementary_abelian_2(k):
+    return closure([perm.cycle([2 * i, 2 * i + 1], 2 * k) for i in range(k)])
+
+
+@pytest.mark.parametrize("name, pairs", [("Z2^5", 2077), ("Z2^6", 23562), ("w62", 33)])
+def test_lattice_builds_one_union_per_normal_subgroup_of_prime_index(monkeypatch, name, pairs):
+    # Each subgroup H grows to H, c*H, ..., c^(p-1)*H, one union per K in
+    # which H is normal of prime index p, with no orbit.  The pairs are
+    # counted on the oracle's lattice, except for Z2^6, where that takes
+    # about 80 s: there they are the pairs of subspaces U < V of F2^6 with
+    # dim V = dim U + 1, the sum over d of [6 choose d]_2 * (2^(6-d) - 1).
+    if name == "w62":
+        G = closure(build_witness(62).generators)
+        assert normal_prime_index_pairs(G) == pairs
+    elif name == "Z2^5":
+        G = elementary_abelian_2(5)
+        assert normal_prime_index_pairs(G) == pairs
+    else:
+        G = elementary_abelian_2(6)
+        subspaces = [math.prod(2 ** (6 - i) - 1 for i in range(d)) // math.prod(2 ** (i + 1) - 1 for i in range(d)) for d in range(7)]
+        assert subspaces == [1, 63, 651, 1395, 651, 63, 1]
+        assert sum(subspaces[d] * (2 ** (6 - d) - 1) for d in range(6)) == pairs
     orbits = count_calls(monkeypatch, "_orbit", groups)
-    subgroups = groups.all_subgroups(G)
-    assert len(G) <= len(orbits) <= len(G) + len(subgroups) * len(cyclic)
+    unions = count_calls(monkeypatch, "_extension", groups)
+    groups.all_subgroups(G)
+    assert orbits == []
+    assert len(unions) == pairs
+
+
+def test_each_group_ranks_its_elements_once(monkeypatch):
+    # The lattice, the subgroup lists and analyze's rows all read one rank per group.
+    rank = groups.FiniteGroup.__dict__["_rank"]
+    calls = []
+    real = rank.func
+    monkeypatch.setattr(rank, "func", lambda G: calls.append(G) or real(G))
+    G = closure(build_witness(54).generators)
+    groups.analyze(G)
+    groups.all_subgroups(G)
+    groups.maximal_subgroups(G)
+    assert calls == [G]
 
 
 @pytest.mark.parametrize("n", [1432, 2310])
