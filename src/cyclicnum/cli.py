@@ -173,7 +173,7 @@ def cmd_sieve(args) -> int:
     if args.json:
         _write_output(json.dumps(hits) + "\n", args.out)
     else:
-        _write_output("".join(f"{n}\n" for n in hits), args.out)
+        _write_output("%d\n" * len(hits) % tuple(hits), args.out)
     return 0
 
 

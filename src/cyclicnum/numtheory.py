@@ -18,10 +18,14 @@ degree at least p2, so under DEGREE_CAP its p2 is below 10000 and the
 call takes at most about 100 modular steps.  Only direct library calls,
 or a ``max_degree`` raised far past DEGREE_CAP, reach the slow case.
 
-``cyclic_numbers`` sieves odd n in fixed windows with no running totient.
-Three kinds of n share a known prime with phi(n): an even n >= 4 and, by a
-mark, an n with p**2 | n or p*r | n for a sieving prime p and an odd prime
-r | p - 1.  Any other n is cyclic iff gcd(n, phi(m)) = 1, m its cofactor.
+``cyclic_numbers`` sieves odd n in windows with no running totient, by
+the primes up to a bound B = min(sqrt(hi), max(1000, hi - lo + 1), 10**6)
+that follows the range but not past its width.  Three kinds of n share a
+known prime with phi(n): an even n >= 4 and, by a mark, an n with
+p**2 | n or p*r | n for a sieving prime p and an odd prime r | p - 1.  Any
+other n is cyclic iff gcd(n, phi(m)) = 1, m its cofactor.  Below
+(B + 1)**2 the cofactor is 1 or a prime, and the one survivor test is
+m = 1 or gcd(n, m - 1) = 1; only windows that reach (B + 1)**2 factorize.
 
 The totient and the two conditions are read off a Factorization
 (``phi`` and ``conditions()``), so a caller that needs several of them
@@ -30,6 +34,7 @@ factorizes n once; euler_phi and check_conditions are the one-shot forms.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -39,33 +44,39 @@ MAX_INPUT = 2**63 - 1
 _SMALL_PRIME_BOUND = 1000
 
 
-def _primes_up_to(bound: int) -> tuple[int, ...]:
-    """The primes up to bound, by the sieve of Eratosthenes."""
+def _prime_flags(bound: int) -> bytearray:
+    """flags[n] is 1 exactly for the primes n up to bound, by the sieve of Eratosthenes."""
     flags = bytearray([1]) * (bound + 1)
     flags[:2] = b"\x00\x00"
     for p in range(2, math.isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
-    return tuple(itertools.compress(range(bound + 1), flags))
+    return flags
 
 
 # The trial divisors of is_prime and factorize and the sieving primes of
 # cyclic_numbers.  An integer above 1 and at most _SMALL_PRIME_BOUND**2
 # with no prime factor up to _SMALL_PRIME_BOUND is itself prime.
-_SMALL_PRIMES = _primes_up_to(_SMALL_PRIME_BOUND)
+_SMALL_PRIMES = tuple(itertools.compress(range(_SMALL_PRIME_BOUND + 1), _prime_flags(_SMALL_PRIME_BOUND)))
 
 
-def _sieve_marks() -> dict[int, tuple[int, ...]]:
-    """Each odd prime p up to 1000 with its mark moduli: p**2, then p*r for each odd prime r | p - 1."""
-    marks = {p: [p * p] for p in _SMALL_PRIMES[1:]}
-    for r in _SMALL_PRIMES[1:]:
-        for p in range(2 * r + 1, _SMALL_PRIME_BOUND + 1, 2 * r):  # odd p with r | p - 1
-            if p in marks:
-                marks[p].append(p * r)
+def _sieve_marks(bound: int) -> dict[int, tuple[int, ...]]:
+    """Each odd prime p up to bound with its mark moduli: p**2, then p*r for each odd prime r | p - 1."""
+    flags = _prime_flags(bound)
+    marks = {p: [p * p] for p in itertools.compress(range(3, bound + 1, 2), flags[3::2])}
+    for r in marks:
+        if 2 * r >= bound:
+            break
+        for p in itertools.compress(range(2 * r + 1, bound + 1, 2 * r), flags[2 * r + 1 :: 2 * r]):
+            marks[p].append(p * r)  # odd p with r | p - 1
     return {p: tuple(moduli) for p, moduli in marks.items()}
 
 
-_SIEVE_MARKS = _sieve_marks()  # the sieving primes of cyclic_numbers, ascending
+# The sieve's tables for bounds up to 1000, flat, with (x + 1) // 2, the
+# inverse of 2 modulo an odd x: (p, (p + 1) // 2) for each odd prime p up
+# to 1000, and (q, (q + 1) // 2) for each of their mark moduli q, q ascending.
+_SIEVE_PRIMES = [(p, (p + 1) // 2) for p in _SMALL_PRIMES[1:]]
+_MARKS = sorted((q, (q + 1) // 2) for moduli in _sieve_marks(_SMALL_PRIME_BOUND).values() for q in moduli)
 
 
 def _check_positive(n: int, name: str = "n") -> None:
@@ -332,49 +343,66 @@ def cyclic_numbers(lo: int, hi: int) -> list[int]:
     """Ascending list of cyclic numbers in [lo, hi], by a segmented sieve.
 
     1 and 2 are cyclic.  An even n >= 4 is not: phi(n) is even for n >= 3,
-    so 2 divides gcd(n, phi(n)).  Only odd n are sieved, in windows of 2**12
-    odd integers (2**13 consecutive integers, the last window possibly
-    fewer), so working memory does not grow with the range.  In each window
-    every odd prime p up to min(sqrt(hi), 1000) is divided out of its
-    multiples and marks the n that p**2 divides (p | phi(n)) or that p*r
-    divides for an odd prime r | p - 1 (r | phi(n)); those are not cyclic.
-    An unmarked n is p1 * ... * pk * m with distinct sieving primes pi, and
-    no prime t divides both n and some pi - 1 (t would be an odd sieving
-    prime with pi*t | n, which is marked), so gcd(n, phi(n)) = gcd(n, phi(m))
-    and no totient is kept.  The cofactor m is 1 or prime when it is at most
-    10**6 (always so when hi <= 10**6), and then n is cyclic when m = 1 or
-    gcd(n, m - 1) = 1.  A larger m has no prime factor up to 1000, so it is
+    so 2 divides gcd(n, phi(n)).  Only odd n are sieved, in windows of
+    max(2**12, B) odd integers (the last window possibly fewer), so working
+    memory does not grow with the range.  The sieving bound B is
+    min(sqrt(hi), max(1000, hi - lo + 1), 10**6): it follows sqrt(hi) but
+    never exceeds the width of the range, so a narrow range far out sieves
+    with the primes up to 1000 only.  In each window every odd prime p up to
+    B is divided out of its multiples and marks the n that p**2 divides
+    (p | phi(n)) or that p*r divides for an odd prime r | p - 1
+    (r | phi(n)); those are not cyclic.  An unmarked n is p1 * ... * pk * m
+    with distinct sieving primes pi, and no prime t divides both n and some
+    pi - 1 (t would be an odd sieving prime with pi*t | n, which is marked),
+    so gcd(n, phi(n)) = gcd(n, phi(m)) and no totient is kept.  Below
+    (B + 1)**2 (always so when hi <= 10**6) the cofactor m is 1 or a prime,
+    and n is cyclic when m = 1 or gcd(n, m - 1) = 1.  Only in a window that
+    reaches (B + 1)**2 is a larger m, which has no prime factor up to B,
     factorized by rho without trial division.
     """
     _check_positive(lo, "lo")
     _check_positive(hi, "hi")
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
-    limit = math.isqrt(hi)
+    bound = min(math.isqrt(hi), max(_SMALL_PRIME_BOUND, hi - lo + 1), 10**6)
+    if bound <= _SMALL_PRIME_BOUND:
+        table = None
+        primes = _SIEVE_PRIMES[: bisect.bisect(_SIEVE_PRIMES, (bound + 1,))]
+        # Moduli up to hi; those of primes above B still mark only non-cyclic n.
+        marks = _MARKS[: bisect.bisect(_MARKS, (hi + 1,))]
+    else:
+        # Kept per prime and flattened per window: flat tables for B = 10**6
+        # would take several times the memory.
+        table = _sieve_marks(bound)
+    square = (bound + 1) ** 2
     hits = list(range(lo, min(hi, 2) + 1))  # 1 and 2
-    big = _SMALL_PRIME_BOUND**2
-    window = 1 << 12
+    window = max(1 << 12, bound)
     for start in range(max(lo, 3) | 1, hi + 1, 2 * window):
-        # Index i of the window stands for the odd n = start + 2*i.
+        # Index i of the window stands for the odd n = start + 2*i, and the
+        # odd multiples of an odd x start at i = -start * (x + 1) / 2 mod x.
         size = min(window, (hi - start) // 2 + 1)
         odd = range(start, start + 2 * size, 2)
         rest = list(odd)
         unmarked = bytearray(b"\x01") * size
-        for p, moduli in _SIEVE_MARKS.items():
-            if p > limit:
-                break
-            # The odd multiples of an odd q start at i = -start / 2 mod q,
-            # and (q + 1) / 2 is the inverse of 2 modulo q.
-            i = -start * ((p + 1) // 2) % p
+        if table is not None:
+            primes = ((p, (p + 1) // 2) for p in table)
+            marks = ((q, (q + 1) // 2) for moduli in table.values() for q in moduli)
+        for p, h in primes:
+            i = -start * h % p
             rest[i::p] = [m // p for m in rest[i::p]]
-            for q in moduli:
-                if (i := -start * ((q + 1) // 2) % q) < size:
+        for q, h in marks:
+            if (i := -start * h % q) < size:
+                if i + q < size:
                     unmarked[i::q] = bytes(len(range(i, size, q)))
-        # An unmarked rest m is 1, a prime up to 10**6, or a larger
-        # cofactor with no prime factor up to 1000.
+                else:
+                    unmarked[i] = 0
+        # An unmarked rest m below (B + 1)**2 is 1 or a prime.
         survivors = zip(itertools.compress(odd, unmarked), itertools.compress(rest, unmarked))
-        hits += [
-            n for n, m in survivors
-            if m == 1 or math.gcd(n, m - 1 if m <= big else Factorization(m, _large_cofactor_factors(m)).phi) == 1
-        ]
+        if odd[-1] < square:
+            hits += [n for n, m in survivors if m == 1 or math.gcd(n, m - 1) == 1]
+        else:
+            hits += [
+                n for n, m in survivors
+                if m == 1 or math.gcd(n, m - 1 if m < square else Factorization(m, _large_cofactor_factors(m)).phi) == 1
+            ]
     return hits

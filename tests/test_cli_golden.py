@@ -34,6 +34,7 @@ ARGVS = (
     + [["verify", n] for n in ("6", "12", "18", "100")]
     + [["analyze", "{%s}" % name] for name in ("s3", "z6", "s4", "z2cubed", "a5", "w21", "w38", "w54", "w114", "w128")]
     + [["enumerate", n] for n in ("1", "4", "6", "8")]
+    + [["sieve", lo, hi] for lo, hi in (("1", "30"), ("20", "22"), ("997001", "1000000"))]
 )
 CASES = (
     [argv + flags for argv in ARGVS for flags in ([], ["--json"])]

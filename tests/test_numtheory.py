@@ -17,7 +17,7 @@ from cyclicnum import (
     is_prime,
     multiplicative_order,
 )
-from cyclicnum.numtheory import _SIEVE_MARKS, MAX_INPUT
+from cyclicnum.numtheory import _MARKS, MAX_INPUT, _sieve_marks
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -336,8 +336,8 @@ class TestCyclicNumbers:
         assert cyclic_numbers(lo, hi) == oracle.cyclic_numbers(lo, hi)
 
     def test_sieve_above_table_square(self):
-        # Past 10**6 the sieve divides out only the primes up to 1000, and a
-        # rest with two larger prime factors must be split by rho.
+        # A range of width 301 past 10**6 sieves with the primes up to 1000
+        # only, and a rest with two larger prime factors must be split by rho.
         lo, hi = 10**12, 10**12 + 300
         fact = {n: oracle.factorize(n) for n in range(lo, hi + 1)}
         assert any(sum(a for p, a in fs if p > 1000) >= 2 for fs in fact.values())
@@ -351,14 +351,23 @@ class TestCyclicNumbers:
                     if math.gcd(n, oracle.totient(assert_factorization(n))) == 1]
         assert cyclic_numbers(lo, MAX_INPUT) == expected
 
-    def test_sieve_mark_table(self):
-        # p**2 and p*r for each odd prime r | p - 1, for every odd prime p up to 1000.
+    @pytest.mark.parametrize("lo, width", [(10**6, 10**5), (4 * 10**6, 5000), (10**9, 4000), (10**12, 2000)])
+    def test_sieve_bound_follows_the_range(self, lo, width):
+        # Sieving bounds 1048, 2001, 4001 and 2001, all above 1000; checked
+        # against is_cyclic_number, which factorizes each n.
+        assert cyclic_numbers(lo, lo + width) == [n for n in range(lo, lo + width + 1) if is_cyclic_number(n)]
+
+    @pytest.mark.parametrize("bound", [1000, 5000])
+    def test_sieve_mark_table(self, bound):
+        # p**2 and p*r for each odd prime r | p - 1, for every odd prime p up to bound.
         expected = {
             p: (p * p, *(p * r for r, _ in oracle.factorize(p - 1) if r > 2))
-            for p in range(3, 1001)
+            for p in range(3, bound + 1)
             if oracle.is_prime(p)
         }
-        assert list(_SIEVE_MARKS.items()) == list(expected.items())
+        assert list(_sieve_marks(bound).items()) == list(expected.items())
+        if bound == 1000:  # the import-time table, flat and with 1/2 mod q
+            assert _MARKS == sorted((q, (q + 1) // 2) for moduli in expected.values() for q in moduli)
 
     def test_cyclic_numbers_rejects_bad_range(self):
         with pytest.raises(ValueError):

@@ -50,11 +50,20 @@ def test_sieve_to_a_million_factorizes_no_cofactor(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("lo, hi", [(10**6, 10**6 + 10**5), (4 * 10**6, 4 * 10**6 + 5000)])
+def test_sieve_below_bound_square_factorizes_no_cofactor(monkeypatch, lo, hi):
+    # Sieving bounds 1048 and 2001: hi < (B + 1)**2, so every cofactor is 1 or prime.
+    calls = count_calls(monkeypatch, "_large_cofactor_factors", numtheory)
+    assert numtheory.cyclic_numbers(lo, hi)
+    assert calls == []
+
+
 def test_sieve_factorizes_only_unmarked_large_cofactors(monkeypatch):
-    # Above 10**6 the sieve factorizes the cofactor left after dividing out
-    # the primes up to 1000, with no second trial division, but only for
-    # an odd n whose part up to 1000 is squarefree and holds no primes
-    # r, p with r | p - 1: even n and the others are settled by a mark.
+    # A range of width 301 past 10**6 sieves with the primes up to 1000 and
+    # factorizes the cofactor left after dividing them out, with no second
+    # trial division, but only for an odd n whose part up to 1000 is
+    # squarefree and holds no primes r, p with r | p - 1: even n and the
+    # others are settled by a mark.
     lo, hi = 10**12, 10**12 + 300
     expected = 0
     for n in range(lo | 1, hi + 1, 2):
