@@ -26,6 +26,8 @@ p**2 | n or p*r | n for a sieving prime p and an odd prime r | p - 1.  Any
 other n is cyclic iff gcd(n, phi(m)) = 1, m its cofactor.  Below
 (B + 1)**2 the cofactor is 1 or a prime, and the one survivor test is
 m = 1 or gcd(n, m - 1) = 1; only windows that reach (B + 1)**2 factorize.
+The primes and moduli come from one flat table for max(B, 1000), kept
+for the last B only, so consecutive ranges with the same B build it once.
 
 The totient and the two conditions are read off a Factorization
 (``phi`` and ``conditions()``), so a caller that needs several of them
@@ -35,6 +37,7 @@ factorizes n once; euler_phi and check_conditions are the one-shot forms.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from collections import Counter
@@ -60,23 +63,24 @@ def _prime_flags(bound: int) -> bytearray:
 _SMALL_PRIMES = tuple(itertools.compress(range(_SMALL_PRIME_BOUND + 1), _prime_flags(_SMALL_PRIME_BOUND)))
 
 
-def _sieve_marks(bound: int) -> dict[int, tuple[int, ...]]:
-    """Each odd prime p up to bound with its mark moduli: p**2, then p*r for each odd prime r | p - 1."""
+@functools.lru_cache(maxsize=1)
+def _sieve_table(bound: int) -> tuple[tuple[int, ...], ...]:
+    """The odd primes p up to bound; their mark moduli, p**2 and p*r for each
+    odd prime r | p - 1, ascending; and (x + 1) // 2, the inverse of 2
+    modulo an odd x, for each prime and each modulus.  Only the last bound
+    is kept, so a call's work never depends on the calls before it, and
+    as tuples, so no caller can change what the next one reads.
+    """
     flags = _prime_flags(bound)
-    marks = {p: [p * p] for p in itertools.compress(range(3, bound + 1, 2), flags[3::2])}
-    for r in marks:
+    primes = list(itertools.compress(range(3, bound + 1, 2), flags[3::2]))
+    moduli = [p * p for p in primes]
+    for r in primes:
         if 2 * r >= bound:
             break
-        for p in itertools.compress(range(2 * r + 1, bound + 1, 2 * r), flags[2 * r + 1 :: 2 * r]):
-            marks[p].append(p * r)  # odd p with r | p - 1
-    return {p: tuple(moduli) for p, moduli in marks.items()}
-
-
-# The sieve's tables for bounds up to 1000, flat, with (x + 1) // 2, the
-# inverse of 2 modulo an odd x: (p, (p + 1) // 2) for each odd prime p up
-# to 1000, and (q, (q + 1) // 2) for each of their mark moduli q, q ascending.
-_SIEVE_PRIMES = [(p, (p + 1) // 2) for p in _SMALL_PRIMES[1:]]
-_MARKS = sorted((q, (q + 1) // 2) for moduli in _sieve_marks(_SMALL_PRIME_BOUND).values() for q in moduli)
+        # The odd primes p = 1 mod 2r, those with r | p - 1.
+        moduli += [p * r for p in itertools.compress(range(2 * r + 1, bound + 1, 2 * r), flags[2 * r + 1 :: 2 * r])]
+    moduli.sort()
+    return tuple(primes), tuple(moduli), tuple((p + 1) // 2 for p in primes), tuple((q + 1) // 2 for q in moduli)
 
 
 def _check_positive(n: int, name: str = "n") -> None:
@@ -358,22 +362,20 @@ def cyclic_numbers(lo: int, hi: int) -> list[int]:
     (B + 1)**2 (always so when hi <= 10**6) the cofactor m is 1 or a prime,
     and n is cyclic when m = 1 or gcd(n, m - 1) = 1.  Only in a window that
     reaches (B + 1)**2 is a larger m, which has no prime factor up to B,
-    factorized by rho without trial division.
+    factorized by rho without trial division.  B stops at 10**6, so every
+    survivor above (10**6 + 1)**2 is factorized, and a 10**6-wide range
+    there takes several times as long as one just below.
     """
     _check_positive(lo, "lo")
     _check_positive(hi, "hi")
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
     bound = min(math.isqrt(hi), max(_SMALL_PRIME_BOUND, hi - lo + 1), 10**6)
-    if bound <= _SMALL_PRIME_BOUND:
-        table = None
-        primes = _SIEVE_PRIMES[: bisect.bisect(_SIEVE_PRIMES, (bound + 1,))]
-        # Moduli up to hi; those of primes above B still mark only non-cyclic n.
-        marks = _MARKS[: bisect.bisect(_MARKS, (hi + 1,))]
-    else:
-        # Kept per prime and flattened per window: flat tables for B = 10**6
-        # would take several times the memory.
-        table = _sieve_marks(bound)
+    primes, moduli, prime_halves, modulus_halves = _sieve_table(max(bound, _SMALL_PRIME_BOUND))
+    sieving = bisect.bisect(primes, bound)
+    # One table serves every B up to 1000.  Moduli up to hi; those of
+    # primes above B still mark only non-cyclic n.
+    marking = bisect.bisect(moduli, hi)
     square = (bound + 1) ** 2
     hits = list(range(lo, min(hi, 2) + 1))  # 1 and 2
     window = max(1 << 12, bound)
@@ -384,13 +386,10 @@ def cyclic_numbers(lo: int, hi: int) -> list[int]:
         odd = range(start, start + 2 * size, 2)
         rest = list(odd)
         unmarked = bytearray(b"\x01") * size
-        if table is not None:
-            primes = ((p, (p + 1) // 2) for p in table)
-            marks = ((q, (q + 1) // 2) for moduli in table.values() for q in moduli)
-        for p, h in primes:
+        for p, h in itertools.islice(zip(primes, prime_halves), sieving):
             i = -start * h % p
             rest[i::p] = [m // p for m in rest[i::p]]
-        for q, h in marks:
+        for q, h in itertools.islice(zip(moduli, modulus_halves), marking):
             if (i := -start * h % q) < size:
                 if i + q < size:
                     unmarked[i::q] = bytes(len(range(i, size, q)))

@@ -17,7 +17,7 @@ from cyclicnum import (
     is_prime,
     multiplicative_order,
 )
-from cyclicnum.numtheory import _MARKS, MAX_INPUT, _sieve_marks
+from cyclicnum.numtheory import MAX_INPUT, _sieve_table
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -359,15 +359,12 @@ class TestCyclicNumbers:
 
     @pytest.mark.parametrize("bound", [1000, 5000])
     def test_sieve_mark_table(self, bound):
-        # p**2 and p*r for each odd prime r | p - 1, for every odd prime p up to bound.
-        expected = {
-            p: (p * p, *(p * r for r, _ in oracle.factorize(p - 1) if r > 2))
-            for p in range(3, bound + 1)
-            if oracle.is_prime(p)
-        }
-        assert list(_sieve_marks(bound).items()) == list(expected.items())
-        if bound == 1000:  # the import-time table, flat and with 1/2 mod q
-            assert _MARKS == sorted((q, (q + 1) // 2) for moduli in expected.values() for q in moduli)
+        # The odd primes p up to bound; p**2 and p*r for each odd prime
+        # r | p - 1, ascending; and 1/2 mod x for each prime and modulus.
+        primes = [p for p in range(3, bound + 1) if oracle.is_prime(p)]
+        moduli = sorted(q for p in primes for q in (p * p, *(p * r for r, _ in oracle.factorize(p - 1) if r > 2)))
+        halves = tuple(tuple(pow(2, -1, x) for x in column) for column in (primes, moduli))
+        assert _sieve_table(bound) == (tuple(primes), tuple(moduli), *halves)
 
     def test_cyclic_numbers_rejects_bad_range(self):
         with pytest.raises(ValueError):

@@ -58,13 +58,17 @@ def test_sieve_below_bound_square_factorizes_no_cofactor(monkeypatch, lo, hi):
     assert calls == []
 
 
-def test_sieve_factorizes_only_unmarked_large_cofactors(monkeypatch):
+@pytest.mark.parametrize("after_wide", [False, True])
+def test_sieve_factorizes_only_unmarked_large_cofactors(monkeypatch, after_wide):
     # A range of width 301 past 10**6 sieves with the primes up to 1000 and
     # factorizes the cofactor left after dividing them out, with no second
     # trial division, but only for an odd n whose part up to 1000 is
     # squarefree and holds no primes r, p with r | p - 1: even n and the
-    # others are settled by a mark.
+    # others are settled by a mark.  A wide call just before, which sieves
+    # with the primes up to 10**6, leaves the count as it is.
     lo, hi = 10**12, 10**12 + 300
+    if after_wide:
+        numtheory.cyclic_numbers(lo, lo + 10**6)
     expected = 0
     for n in range(lo | 1, hi + 1, 2):
         factors = numtheory_oracles.factorize(n)
@@ -78,6 +82,15 @@ def test_sieve_factorizes_only_unmarked_large_cofactors(monkeypatch):
     numtheory.cyclic_numbers(lo, hi)
     assert len(calls) == expected > 0
     assert trial == []
+
+
+def test_consecutive_wide_windows_build_one_sieve_table(monkeypatch):
+    numtheory._sieve_table.cache_clear()
+    calls = count_calls(monkeypatch, "_prime_flags", numtheory)
+    lo = 10**12
+    assert len(numtheory.cyclic_numbers(lo, lo + 10**6)) == 272211
+    assert len(numtheory.cyclic_numbers(lo + 10**6 + 1, lo + 2 * 10**6)) == 271911
+    assert calls == [(10**6,)]
 
 
 @pytest.mark.parametrize("p", [1009, 999983, 2**31 - 1, 2147483629])
