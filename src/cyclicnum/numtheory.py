@@ -371,10 +371,10 @@ def cyclic_numbers(lo: int, hi: int) -> list[int]:
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
     bound = min(math.isqrt(hi), max(_SMALL_PRIME_BOUND, hi - lo + 1), 10**6)
+    # One table serves every B up to 1000: primes up to B, and moduli up to
+    # hi; those of primes above B still mark only non-cyclic n.
     primes, moduli, prime_halves, modulus_halves = _sieve_table(max(bound, _SMALL_PRIME_BOUND))
     sieving = bisect.bisect(primes, bound)
-    # One table serves every B up to 1000.  Moduli up to hi; those of
-    # primes above B still mark only non-cyclic n.
     marking = bisect.bisect(moduli, hi)
     square = (bound + 1) ** 2
     hits = list(range(lo, min(hi, 2) + 1))  # 1 and 2
