@@ -18,8 +18,14 @@ degree at least p2, so under DEGREE_CAP its p2 is below 10000 and the
 call takes at most about 100 modular steps.  Only direct library calls,
 or a ``max_degree`` raised far past DEGREE_CAP, reach the slow case.
 
-``cyclic_numbers`` sieves odd n in windows with no running totient, by
-the primes up to a bound B = min(sqrt(hi), max(1000, hi - lo + 1), 10**6)
+``cyclic_numbers`` reads every range with hi <= 2**20 off one kept table
+of the odd cyclic numbers up to the least power of two at or above hi,
+built by zeroing the odd multiples of p**2 and of t*r for odd primes
+t | r - 1; an odd n is cyclic exactly when none of them divides it.  The
+2**20 table takes 11-25 ms to build and 512 KiB to keep.
+
+Above 2**20 it sieves odd n in windows with no running totient, by the
+primes up to a bound B = min(sqrt(hi), max(1000, hi - lo + 1), 10**6)
 that follows the range but not past its width.  Three kinds of n share a
 known prime with phi(n): an even n >= 4 and, by a mark, an n with
 p**2 | n or p*r | n for a sieving prime p and an odd prime r | p - 1.  Any
@@ -81,6 +87,39 @@ def _sieve_table(bound: int) -> tuple[tuple[int, ...], ...]:
         moduli += [p * r for p in itertools.compress(range(2 * r + 1, bound + 1, 2 * r), flags[2 * r + 1 :: 2 * r])]
     moduli.sort()
     return tuple(primes), tuple(moduli), tuple((p + 1) // 2 for p in primes), tuple((q + 1) // 2 for q in moduli)
+
+
+# cyclic_numbers reads _odd_cyclic_flags for every hi up to here, the first
+# power of two above the CLI's sieve limit of 10**6.
+_TABLE_LIMIT = 1 << 20
+
+
+@functools.cache
+def _odd_cyclic_flags(limit: int) -> bytes:
+    """flags[j] is 1 exactly when the odd n = 2j + 1 <= limit is cyclic.
+
+    An odd n is not cyclic exactly when p**2 | n or t*r | n for odd primes
+    t | r - 1, so the odd multiples of those moduli are zeroed and nothing
+    is factorized.  Such an r is at most limit / 3, and a modulus above
+    limit / 3 has no odd multiple up to limit but itself.  Called only with
+    powers of two up to 2**20, so at most 21 tables, about 1 MB in all, are
+    kept, as bytes, which no caller can change.
+    """
+    primes = _prime_flags(limit // 3)
+    root = math.isqrt(limit)
+    odd_primes = list(itertools.compress(range(3, root + 1, 2), primes[3 : root + 1 : 2]))
+    moduli = [p * p for p in odd_primes]
+    for t in odd_primes:
+        # The primes r = 1 mod 2t, those with t | r - 1, up to limit / t.
+        end = limit // t + 1
+        moduli += [t * r for r in itertools.compress(range(2 * t + 1, end, 2 * t), primes[2 * t + 1 : end : 2 * t])]
+    flags = bytearray(b"\x01") * ((limit + 1) // 2)
+    for q in moduli:
+        if 3 * q > limit:
+            flags[q // 2] = 0
+        else:
+            flags[q // 2 :: q] = bytes(len(range(q // 2, len(flags), q)))
+    return bytes(flags)
 
 
 def _check_positive(n: int, name: str = "n") -> None:
@@ -344,32 +383,51 @@ def element_of_order(p1: int, p2: int) -> int:
 
 
 def cyclic_numbers(lo: int, hi: int) -> list[int]:
-    """Ascending list of cyclic numbers in [lo, hi], by a segmented sieve.
+    """Ascending list of cyclic numbers in [lo, hi].
 
     1 and 2 are cyclic.  An even n >= 4 is not: phi(n) is even for n >= 3,
-    so 2 divides gcd(n, phi(n)).  Only odd n are sieved, in windows of
-    max(2**12, B) odd integers (the last window possibly fewer), so working
-    memory does not grow with the range.  The sieving bound B is
-    min(sqrt(hi), max(1000, hi - lo + 1), 10**6): it follows sqrt(hi) but
-    never exceeds the width of the range, so a narrow range far out sieves
-    with the primes up to 1000 only.  In each window every odd prime p up to
-    B is divided out of its multiples and marks the n that p**2 divides
-    (p | phi(n)) or that p*r divides for an odd prime r | p - 1
-    (r | phi(n)); those are not cyclic.  An unmarked n is p1 * ... * pk * m
-    with distinct sieving primes pi, and no prime t divides both n and some
-    pi - 1 (t would be an odd sieving prime with pi*t | n, which is marked),
-    so gcd(n, phi(n)) = gcd(n, phi(m)) and no totient is kept.  Below
-    (B + 1)**2 (always so when hi <= 10**6) the cofactor m is 1 or a prime,
-    and n is cyclic when m = 1 or gcd(n, m - 1) = 1.  Only in a window that
-    reaches (B + 1)**2 is a larger m, which has no prime factor up to B,
-    factorized by rho without trial division.  B stops at 10**6, so every
-    survivor above (10**6 + 1)**2 is factorized, and a 10**6-wide range
-    there takes several times as long as one just below.
+    so 2 divides gcd(n, phi(n)).  For hi <= 2**20 the odd n are read off
+    the kept table ``_odd_cyclic_flags`` for the least power of two at or
+    above hi, so nothing is factorized and a call's work never depends on
+    the calls before it.  Above 2**20 the odd n are sieved in windows by
+    ``_sieve_windows``, whose working memory does not grow with the range.
     """
     _check_positive(lo, "lo")
     _check_positive(hi, "hi")
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
+    if hi > _TABLE_LIMIT:
+        return _sieve_windows(lo, hi)
+    flags = _odd_cyclic_flags(1 << (hi - 1).bit_length())
+    start = max(lo, 3) | 1
+    hits = list(range(lo, min(hi, 2) + 1))  # 1 and 2
+    hits += itertools.compress(range(start, hi + 1, 2), flags[start // 2 : (hi + 1) // 2])
+    return hits
+
+
+def _sieve_windows(lo: int, hi: int) -> list[int]:
+    """Ascending list of cyclic numbers in [lo, hi], by a segmented sieve.
+
+    Only odd n are sieved, in windows of max(2**12, B) odd integers (the
+    last window possibly fewer), so working memory does not grow with the
+    range.  The sieving bound B is min(sqrt(hi), max(1000, hi - lo + 1),
+    10**6): it follows sqrt(hi) but never exceeds the width of the range,
+    so a narrow range far out sieves with the primes up to 1000 only.  In
+    each window every odd prime p up to B is divided out of its multiples
+    and marks the n that p**2 divides (p | phi(n)) or that p*r divides for
+    an odd prime r | p - 1 (r | phi(n)); those are not cyclic.  An unmarked
+    n is p1 * ... * pk * m with distinct sieving primes pi, and no prime t
+    divides both n and some pi - 1 (t would be an odd sieving prime with
+    pi*t | n, which is marked), so gcd(n, phi(n)) = gcd(n, phi(m)) and no
+    totient is kept.  Below (B + 1)**2 the cofactor m is 1 or a prime, and
+    n is cyclic when m = 1 or gcd(n, m - 1) = 1.  Only in a window that
+    reaches (B + 1)**2 is a larger m, which has no prime factor up to B,
+    factorized by rho without trial division.  B stops at 10**6, so every
+    survivor above (10**6 + 1)**2 is factorized, and a 10**6-wide range
+    there takes several times as long as one just below.
+    ``cyclic_numbers`` calls it for hi > 2**20, and the tests compare the
+    two below.
+    """
     bound = min(math.isqrt(hi), max(_SMALL_PRIME_BOUND, hi - lo + 1), 10**6)
     # One table serves every B up to 1000: primes up to B, and moduli up to
     # hi; those of primes above B still mark only non-cyclic n.

@@ -1,6 +1,7 @@
 """Number-theory layer: factorization, totient, the cyclic-number test."""
 
 import math
+import random
 
 import numtheory_oracles as oracle
 import pytest
@@ -17,7 +18,7 @@ from cyclicnum import (
     is_prime,
     multiplicative_order,
 )
-from cyclicnum.numtheory import MAX_INPUT, _sieve_table
+from cyclicnum.numtheory import MAX_INPUT, _odd_cyclic_flags, _sieve_table, _sieve_windows
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -365,6 +366,22 @@ class TestCyclicNumbers:
         moduli = sorted(q for p in primes for q in (p * p, *(p * r for r, _ in oracle.factorize(p - 1) if r > 2)))
         halves = tuple(tuple(pow(2, -1, x) for x in column) for column in (primes, moduli))
         assert _sieve_table(bound) == (tuple(primes), tuple(moduli), *halves)
+
+    def test_table_matches_window_sieve(self):
+        # Below 2**20 the window sieve is the reference for the kept table;
+        # the last range reaches past 2**20 and takes the window path itself.
+        rng = random.Random(50)
+        ranges = [(1, 2**20), (2**20 - 2999, 2**20), (2**20 - 2999, 2**20 + 1)]
+        for _ in range(200):
+            lo = rng.randrange(1, 2**20 - 6000)
+            ranges.append((lo, lo + rng.randrange(6000)))
+        ranges += [(lo, hi) for lo in range(1, 80) for hi in range(lo, 80)]
+        for lo, hi in ranges:
+            assert cyclic_numbers(lo, hi) == _sieve_windows(lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_odd_cyclic_flags(self, k):
+        assert _odd_cyclic_flags(2**k) == bytes(is_cyclic_number(n) for n in range(1, 2**k, 2))
 
     def test_cyclic_numbers_rejects_bad_range(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ element-order pass or conjugacy-class pass creeping back in fails here.
 
 import json
 import math
+import random
 
 import group_oracles
 import numtheory_oracles
@@ -91,6 +92,29 @@ def test_consecutive_wide_windows_build_one_sieve_table(monkeypatch):
     assert len(numtheory.cyclic_numbers(lo, lo + 10**6)) == 272211
     assert len(numtheory.cyclic_numbers(lo + 10**6 + 1, lo + 2 * 10**6)) == 271911
     assert calls == [(10**6,)]
+
+
+def test_sieve_blocks_build_one_flag_table_per_power_of_two(monkeypatch):
+    # Each block reads the table for the least power of two at or above its
+    # hi; each table is built once, and no block sieves a window or
+    # factorizes a cofactor.
+    numtheory._odd_cyclic_flags.cache_clear()
+    rng = random.Random(50)
+    blocks = [(lo, lo + 2999) for lo in (rng.randrange(1, 10**6 - 2998) for _ in range(100))]
+    flags = count_calls(monkeypatch, "_prime_flags", numtheory)
+    tables = count_calls(monkeypatch, "_sieve_table", numtheory)
+    cofactors = count_calls(monkeypatch, "_large_cofactor_factors", numtheory)
+    for lo, hi in blocks:
+        numtheory.cyclic_numbers(lo, hi)
+    limits = {1 << (hi - 1).bit_length() for _, hi in blocks}
+    assert sorted(flags) == sorted((limit // 3,) for limit in limits)
+    assert tables == cofactors == []
+
+
+def test_sieve_past_two_to_the_twenty_builds_no_flag_table(monkeypatch):
+    calls = count_calls(monkeypatch, "_odd_cyclic_flags", numtheory)
+    assert numtheory.cyclic_numbers(2**20 - 2999, 2**20 + 1)
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [1009, 999983, 2**31 - 1, 2147483629])
