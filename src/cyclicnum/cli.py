@@ -316,7 +316,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", metavar="N|CERT.json")
     p.add_argument(
         "--max-order", type=int, default=DEFAULT_CLOSURE_CAP, metavar="CAP",
-        help=f"closure size cap (default {DEFAULT_CLOSURE_CAP})",
+        help=(
+            "closure size cap for each block of generators whose moved points meet;"
+            f" a one-generator block is not closed (default {DEFAULT_CLOSURE_CAP})"
+        ),
     )
     add_common(p)
     p.set_defaults(func=cmd_verify)

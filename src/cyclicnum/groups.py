@@ -63,6 +63,25 @@ from their cycles: every element's order divides that lcm, and a finite
 abelian group has an element whose order is its exponent (Seress 2003;
 Holt, Eick and O'Brien 2005).
 
+``direct_factor_orders`` gives |G| and its largest element order with
+no closure of G.  It splits the generators into support blocks: two
+generators share a block when the points they move meet, and blocks are
+the connected components of that relation, read off the generators
+alone.  Permutations that move disjoint points commute, so the groups of
+two blocks commute elementwise and meet only in the identity, and G is
+their internal direct product (Dixon and Mortimer, *Permutation Groups*,
+1996).  So |G| is the product of the block orders, and since a*b has
+order lcm(ord a, ord b) when a and b commute and <a> and <b> meet only
+in the identity, G's element orders are the lcms of one order from each
+block.  A block of one generator is cyclic of order the lcm of its cycle
+lengths and is not closed; every other block is closed once.  An abelian
+block has every divisor of its exponent as an order and nothing else, so
+it adds its exponent to the lcm; a non-abelian one adds the set of
+orders from one order pass.  The split is by supports, not by orbits:
+one generator that moves two orbits, such as (0 1)(2 3), generates a
+subdirect product of its orbits' groups, of order 2, not their direct
+product, of order 4.
+
 Conjugation runs on closure's element numbers: for a generator b,
 b^-1*x*b sends a base point p to b^-1(x(b(p))), so |base| reads of x
 and one lookup give its number, with no product.  The center is the
@@ -90,9 +109,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .errors import CapacityError
 from .perm import Permutation, _cycles, _gather, perm_order
@@ -280,6 +299,13 @@ def closure(generators: Iterable[Permutation], *, max_size: int = DEFAULT_CLOSUR
     would pass max_size, so runaway inputs fail cleanly instead of
     exhausting memory.
     """
+    gens = _generating_set(generators)
+    return FiniteGroup._closed(gens[0].degree, gens, _Dimino([g.images for g in gens], max_size))
+
+
+def _generating_set(generators: Iterable[Permutation]) -> tuple[Permutation, ...]:
+    """The generators as a tuple, or ValueError unless there is at least one
+    and all have the same degree."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("closure needs at least one generator")
@@ -287,7 +313,7 @@ def closure(generators: Iterable[Permutation], *, max_size: int = DEFAULT_CLOSUR
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree mismatch: {g.degree} vs {degree}")
-    return FiniteGroup._closed(degree, gens, _Dimino([g.images for g in gens], max_size))
+    return gens
 
 
 class _Dimino:
@@ -573,6 +599,55 @@ def max_element_order(G: FiniteGroup) -> int:
     if is_abelian(G):
         return lcm(*G._dimino.orders)
     return max(_order_pass(G._dimino))
+
+
+def direct_factor_orders(generators: Iterable[Permutation], *, max_size: int = DEFAULT_CLOSURE_CAP) -> tuple[int, int]:
+    """|G| and G's largest element order, for the group G the generators
+    generate, from its direct factors on disjoint supports.
+
+    The generators are split into support blocks, read off the generators
+    alone (see the module docstring).  A block of one generator is cyclic
+    of order the lcm of its cycle lengths, with no closure; each other
+    block is closed, under max_size elements, and gives its exponent if it
+    is abelian and its set of element orders, from one order pass, if not.
+    |G| is the product of the block orders, and the largest element order
+    the largest lcm of one order from each block.
+    """
+    size, largest = 1, {1}  # the lcms of one order from each block so far
+    for block in _support_blocks(_generating_set(generators)):
+        if len(block) == 1:
+            k = lcm(*map(len, _cycles(block[0].images)))
+            size, orders = size * k, (k,)
+        else:
+            B = closure(block, max_size=max_size)
+            size *= len(B)
+            # An abelian block's orders divide its exponent, so the exponent
+            # gives the largest lcm with any order from the other blocks.
+            orders = (lcm(*B._dimino.orders),) if is_abelian(B) else set(_order_pass(B._dimino))
+        largest = {lcm(a, b) for a in largest for b in orders}
+    return size, max(largest)
+
+
+def _support_blocks(gens: Sequence[Permutation]) -> list[list[Permutation]]:
+    """The generators in blocks: two share a block when the points they move
+    meet, and blocks are the connected components of that relation.
+
+    Blocks are listed by their first generator, and each keeps the
+    generators in their given order.  A generator that moves no point is
+    a block of its own.
+    """
+    blocks: list[tuple[set[int], list[int]]] = []
+    for i, g in enumerate(gens):
+        m = len(g.images)
+        points, members, apart = set(compress(range(m), map(ne, g.images, range(m)))), [i], []
+        for block in blocks:
+            if points.isdisjoint(block[0]):
+                apart.append(block)
+            else:
+                points |= block[0]
+                members += block[1]
+        blocks = apart + [(points, members)]
+    return [[gens[i] for i in members] for members in sorted(sorted(members) for _, members in blocks)]
 
 
 def _least_generator(d: _Dimino, orders: Sequence[int]) -> int | None:

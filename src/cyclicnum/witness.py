@@ -14,8 +14,9 @@ For any n that fails the cyclic-number test there is a concrete witness:
 A certificate records n, which construction was used, its parameters and
 the generators.  Parsing one runs the same construction checks as building
 one; only the builders' degree cap is left out.  Verification recomputes
-the closure from the generators alone and checks the order and
-non-cyclicity claims from scratch.
+the group's order and largest element order from the generators alone,
+as a direct product of the blocks of generators that move disjoint
+points, and checks the order and non-cyclicity claims from scratch.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .errors import CapacityError
-from .groups import DEFAULT_CLOSURE_CAP, closure, max_element_order
+from .groups import DEFAULT_CLOSURE_CAP, direct_factor_orders
 from .numtheory import _check_positive, check_conditions, element_of_order, is_prime
 from .perm import Permutation, cycle
 
@@ -208,19 +209,20 @@ def build_witness(n: int, *, max_degree: int = DEGREE_CAP) -> WitnessCertificate
 def verify_certificate(cert: WitnessCertificate, *, max_size: int = DEFAULT_CLOSURE_CAP) -> VerificationReport:
     """Recompute the group from the certificate's generators and re-check it.
 
-    Nothing is taken on faith: the closure is rebuilt and its size compared
-    with n.  Since each element order divides |G|, the group is cyclic
-    exactly when the largest reaches |G|.  When the generators commute,
-    the largest is the lcm of their orders, which closure computed from
-    their cycles; otherwise one pass computes every element order, on
-    closure's keys.  Either way no element tuple is built and no
-    certificate field but the generators is read.
+    Nothing is taken on faith: |G| and its largest element order are
+    rebuilt from the generators and the size compared with n.  Since each
+    element order divides |G|, the group is cyclic exactly when the
+    largest reaches |G|.  Generators that move disjoint points generate a
+    direct product, so the generators are split into such blocks: a
+    one-generator block is cyclic of order the lcm of its cycle lengths,
+    and closure runs once per block of two or more generators, under
+    max_size elements (see ``groups.direct_factor_orders``).  No element
+    tuple is built and no certificate field but the generators is read.
     """
-    G = closure(cert.generators, max_size=max_size)
-    max_order = max_element_order(G)
+    size, max_order = direct_factor_orders(cert.generators, max_size=max_size)
     return VerificationReport(
-        order_ok=len(G) == cert.n,
-        noncyclic_ok=max_order < len(G),
-        group_size=len(G),
+        order_ok=size == cert.n,
+        noncyclic_ok=max_order < size,
+        group_size=size,
         max_element_order=max_order,
     )

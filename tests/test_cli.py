@@ -150,19 +150,42 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", "15")
         assert rc == 1 and "cyclic number" in err
 
-    def test_closure_cap_says_how_far_it_got(self, capsys):
-        # The witness of 100 is a 2-cycle and a 50-cycle on 52 points:
-        # the 50-cycle's powers fit under 60, its coset by the 2-cycle does not.
+    def test_cap_bounds_each_closed_block(self, capsys):
+        # The witness of 100 is a 2-cycle and a 50-cycle on 52 points: two
+        # one-generator blocks, of orders 2 and 50, so nothing is closed.
         rc, out, err = run(capsys, "verify", "100", "--max-order", "60")
+        assert rc == 0 and err == ""
+        assert "group size: 100" in out and "verdict: pass" in out
+
+    def test_closure_cap_says_how_far_it_got(self, capsys, tmp_path):
+        # analyze closes the whole group of the witness of 100: the 50-cycle's
+        # powers fit under 60, its coset by the 2-cycle does not.
+        path = tmp_path / "w100.json"
+        run(capsys, "witness", "100", "--out", str(path))
+        rc, out, err = run(capsys, "analyze", str(path), "--max-order", "60")
         assert rc == 2 and out == ""
         assert "group closure exceeded the cap of 60 elements (50 built, degree 52)" in err
 
-    def test_default_closure_cap_refuses_a_large_witness(self, capsys):
-        # The witness of 950309 = 97^2 * 101 has degree 9894, inside the
-        # default degree cap, but its group is past the default closure cap.
-        rc, out, err = run(capsys, "verify", "950309")
+    @pytest.mark.parametrize(
+        "n, largest",
+        [(950309, 9797), (20013, 6671)],
+        ids=["square-97^2*101", "arrow-3*7-beside-953"],
+    )
+    def test_witnesses_past_the_default_closure_cap(self, capsys, n, largest):
+        # 950309 = 97^2 * 101 is a 97-cycle beside a 9797-cycle; the arrow
+        # witness of 20013 = 3 * 7 * 953 closes only its affine block of 21 elements.
+        rc, out, err = run(capsys, "verify", str(n), "--json")
+        assert rc == 0 and err == ""
+        report = json.loads(out)
+        assert report["group_size"] == n and report["max_element_order"] == largest
+        assert report["passed"]
+
+    def test_default_closure_cap_refuses_a_large_block(self, capsys):
+        # The witness of 20005 = 5 * 4001 is one block of two affine maps,
+        # whose 20005 elements are past the default closure cap.
+        rc, out, err = run(capsys, "verify", "20005")
         assert rc == 2 and out == ""
-        assert err == "error: group closure exceeded the cap of 20000 elements (19594 built, degree 9894)\n"
+        assert err == "error: group closure exceeded the cap of 20000 elements (16004 built, degree 4001)\n"
 
     def test_tampered_certificate_fails_mathematically(self, capsys, tmp_path):
         path = tmp_path / "w6.json"

@@ -1135,3 +1135,83 @@ class TestKeyedClosure:
                 else:
                     G = cn.closure(gens, max_size=max_size)
                     assert [g.images for g in G.elements] == expected, (i, max_size)
+
+
+def whole_group_orders(gens):
+    """|G| and the largest element order from one closure of every generator."""
+    G = cn.closure(gens)
+    return len(G), cn.max_element_order(G)
+
+
+def shifted(g, offset, degree):
+    """g acting on the points offset, offset + 1, ... of a larger degree."""
+    images = list(range(degree))
+    images[offset:offset + g.degree] = [offset + y for y in g.images]
+    return Permutation(images)
+
+
+class TestDirectFactorOrders:
+    """direct_factor_orders against whole-group closure: generators that move
+    disjoint points generate a direct product, so |G| and the largest element
+    order follow from the blocks of generators whose moved points meet."""
+
+    def test_corpus(self, corpus):
+        for name, G in corpus.items():
+            assert cn.direct_factor_orders(G.generators) == (len(G), cn.max_element_order(G)), name
+
+    def test_two_reflections_are_one_block_and_one_closure(self, monkeypatch):
+        # x -> -x and x -> 1 - x mod 12 move shared points and generate D12.
+        gens = [Permutation([-x % 12 for x in range(12)]), Permutation([(1 - x) % 12 for x in range(12)])]
+        assert groups_module._support_blocks(gens) == [gens]
+        closed = []
+        real = groups_module.closure
+        monkeypatch.setattr(groups_module, "closure", lambda block, **kw: closed.append(block) or real(block, **kw))
+        assert cn.direct_factor_orders(gens) == whole_group_orders(gens) == (24, 12)
+        assert closed == [gens]
+
+    def test_a_generator_moving_two_orbits_is_one_block(self):
+        # (0 1)(2 3) has order 2; its two orbits as direct factors would give 4.
+        g = Permutation([1, 0, 3, 2])
+        assert groups_module._support_blocks([g]) == [[g]]
+        assert cn.direct_factor_orders([g]) == whole_group_orders([g]) == (2, 2)
+
+    def test_blocks_are_connected_components_of_meeting_supports(self):
+        # a meets b and b meets c while a and c are disjoint: one block.
+        a, b, c = cycle([0, 1], 8), cycle([1, 2], 8), cycle([2, 3], 8)
+        d, e = cycle([5, 6], 8), identity(8)
+        assert groups_module._support_blocks([a, d, c, e, b]) == [[a, c, b], [d], [e]]
+        assert cn.direct_factor_orders([a, d, c, e, b]) == whole_group_orders([a, d, c, e, b]) == (48, 6)
+
+    @pytest.mark.parametrize(
+        "blocks, expected",
+        [
+            # A5 has orders 1, 2, 3 and 5: beside a 5-cycle the largest is 15, not 5.
+            ([[cycle([0, 1, 2], 5), cycle(range(5), 5)], [cycle(range(5), 5)]], (300, 15)),
+            ([[cycle([0, 1], 3), cycle([0, 1, 2], 3)]] * 2, (36, 6)),
+            ([[cycle([0, 1], 3), cycle([0, 1, 2], 3)], [Permutation([1, 0, 3, 2]), Permutation([2, 3, 0, 1])], [cycle(range(4), 4)]], (96, 12)),
+            ([[cycle([0, 1, 2], 3), cycle([0, 1], 3)], [cycle(range(4), 4), cycle([1, 3], 4)]], (48, 12)),
+        ],
+        ids=["a5-and-z5", "s3-squared", "s3-klein-z4", "s3-d4"],
+    )
+    def test_products_of_blocks_on_disjoint_points(self, blocks, expected):
+        degree = sum(block[0].degree for block in blocks)
+        gens, offset = [], 0
+        for block in blocks:
+            gens += [shifted(g, offset, degree) for g in block]
+            offset += block[0].degree
+        assert len(groups_module._support_blocks(gens)) == len(blocks)
+        assert cn.direct_factor_orders(gens) == whole_group_orders(gens) == expected
+
+    def test_the_cap_bounds_each_closed_block_not_the_product(self):
+        # Z2 x Z2 beside S4: 96 elements, the largest closed block 24, and
+        # lcm(2, 3) = 6 is above every order in S4.
+        gens = [cycle([0, 1], 8), cycle([2, 3], 8), cycle([4, 5], 8), cycle([4, 5, 6, 7], 8)]
+        assert cn.direct_factor_orders(gens, max_size=24) == whole_group_orders(gens) == (96, 6)
+        with pytest.raises(CapacityError, match=r"cap of 23 elements \(20 built, degree 8\)"):
+            cn.direct_factor_orders(gens, max_size=23)
+
+    def test_generators_are_checked_like_closure_checks_them(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            cn.direct_factor_orders([])
+        with pytest.raises(ValueError, match="degree mismatch"):
+            cn.direct_factor_orders([identity(3), identity(4)])

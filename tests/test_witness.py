@@ -177,6 +177,25 @@ class TestBuildWitness:
             assert report.max_element_order < n
 
 
+class TestVerifyAgainstWholeGroupClosure:
+    def test_every_witness_up_to_3000(self):
+        # verify reads |G| and the largest element order off the support
+        # blocks; one closure of every generator must give the same report.
+        reasons = {"square": 0, "arrow": 0}
+        for n in range(2, 3001):
+            cert = build_witness(n)
+            if cert is None:
+                continue
+            G = cn.closure(cert.generators)
+            largest = cn.max_element_order(G)
+            report = verify_certificate(cert)
+            assert (report.group_size, report.max_element_order) == (len(G), largest), n
+            assert (report.order_ok, report.noncyclic_ok) == (len(G) == n, largest < len(G)), n
+            assert report.passed, n
+            reasons[cert.reason] += 1
+        assert reasons == {"square": 1176, "arrow": 868}
+
+
 class TestCertificateValidation:
     def test_wrong_degree_rejected(self):
         good = build_witness(6)

@@ -128,21 +128,25 @@ def test_factorize_splits_squares_without_rho(monkeypatch, p):
 
 @pytest.mark.parametrize("n", [4, 6, 18, 100, 2310])
 def test_verify_computes_each_element_order_once(monkeypatch, n):
-    # A square witness (4, 18, 100) is abelian, so its largest element
-    # order is the lcm of the generator orders closure computed: no order
-    # pass, and each generator's cycles are walked once, by closure.  An
-    # arrow witness (6, 2310) is not abelian and takes one order pass.
+    # Generators that move disjoint points are separate blocks.  A square
+    # witness (4, 18, 100) is two one-generator blocks, each cyclic of the
+    # lcm of its cycle lengths: no closure and no order pass.  An arrow
+    # witness (6, 2310) closes its two affine maps once and takes one order
+    # pass; 2310's trailing cycle is a block of its own.  Either way each
+    # generator's cycles are walked once.
     cert = build_witness(n)
-    order_passes = {"square": 0, "arrow": 1}[cert.reason]
+    closed = {"square": [], "arrow": [cert.generators[:2]]}[cert.reason]
+    closures = count_calls(monkeypatch, "closure", groups)
     passes = count_calls(monkeypatch, "_order_pass", groups)
     singles = count_calls(monkeypatch, "perm_order", perm, groups)
-    walks_in_closure = count_calls(monkeypatch, "_cycles", groups)
+    walks = count_calls(monkeypatch, "_cycles", groups)
     walks_elsewhere = count_calls(monkeypatch, "_cycles", perm)
     report = verify_certificate(cert)
     assert report.passed and report.group_size == n
-    assert len(passes) == order_passes
+    assert [tuple(args[0]) for args in closures] == closed
+    assert len(passes) == len(closed)
     assert singles == []
-    assert len(walks_in_closure) == len(cert.generators)
+    assert sorted(images for images, in walks) == sorted(g.images for g in cert.generators)
     assert walks_elsewhere == []
 
 
